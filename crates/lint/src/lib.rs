@@ -4,11 +4,12 @@
 //! see because they are *policy*, not language rules: the serving hot path
 //! is panic-free (PR 3's salvage machinery assumes it), fits are
 //! bit-deterministic given a seed, the metrics fast path uses relaxed
-//! atomics only (PR 6), the workspace is `unsafe`-free, the wire protocol's
-//! opcode set stays closed across encoder/decoder/dispatch (PR 5), and no
-//! manifest may reach for a registry (the offline constraint). Each of
-//! those held by convention and review; this crate makes them hold by
-//! machine.
+//! atomics only (PR 6), `unsafe` appears only at the three AVX2 dispatch
+//! sites of `goggles_tensor::linalg` (each under a `// SAFETY:` comment),
+//! the wire protocol's opcode set stays closed across
+//! encoder/decoder/dispatch (PR 5), and no manifest may reach for a
+//! registry (the offline constraint). Each of those held by convention and
+//! review; this crate makes them hold by machine.
 //!
 //! Design constraints mirror the workspace's: std-only, no `syn`, no
 //! registry deps. The analysis is a hand-rolled lexer ([`lexer`]) feeding

@@ -9,13 +9,16 @@
 //! | `hash-iter` | fit/kernel crates            | bit-deterministic fits        |
 //! | `nan-cmp`   | whole workspace              | NaN-safe comparators          |
 //! | `atomics`   | whole workspace              | audited memory orderings      |
-//! | `unsafe`    | whole workspace              | the unsafe-free invariant     |
+//! | `unsafe`    | whole workspace              | argued `unsafe` only          |
 //! | `wire`      | serve wire/server/client     | opcode codec exhaustiveness   |
 //! | `deps`      | every `Cargo.toml`           | the offline no-registry rule  |
 //! | `lock-order`| whole workspace (flow)       | deadlock-free lock discipline |
 //! | `panic-reach`| hot-path call sites (flow)  | transitive panic-freedom      |
 //! | `alloc-hot` | hot-path loops               | steady-state allocation-free  |
 //! | `dead-pub`  | `crates/*/src` pub items     | honest inter-crate API surface|
+//!
+//! The only `unsafe` in the workspace is at the three AVX2 dispatch sites
+//! of `goggles_tensor::linalg` (GEMM, colmax, cached-panel colmax).
 //!
 //! The last four are v2's flow-aware rules: they run over the semantic
 //! [`model`](crate::model) (symbol table, approximate call graph, guard

@@ -1,10 +1,13 @@
-//! `unsafe`: the workspace is unsafe-free, and stays that way unless argued.
+//! `unsafe`: no `unsafe` in the workspace unless argued.
 //!
 //! Every kernel here (GEMM, im2col, EM updates) is written in safe Rust on
-//! purpose: the perf PRs got their wins from blocking and layout, not from
-//! `get_unchecked`. This rule keeps the invariant machine-checked — any
-//! `unsafe` keyword must sit under a `// SAFETY:` comment justifying the
-//! proof obligation, in addition to the usual `allow(unsafe)` hatch.
+//! purpose: the perf wins came from blocking and layout, not from
+//! `get_unchecked`. The only `unsafe` is at the three dispatch sites in
+//! `goggles_tensor::linalg` that call the `#[target_feature(enable =
+//! "avx2")]` builds of the GEMM and colmax kernels after a runtime CPU
+//! check. This rule keeps that machine-checked — any `unsafe` keyword must
+//! sit under a `// SAFETY:` comment justifying the proof obligation, in
+//! addition to the usual `allow(unsafe)` hatch.
 
 use crate::engine::{Diagnostic, SourceFile};
 
@@ -30,7 +33,7 @@ pub(crate) fn check_unsafe(file: &SourceFile, out: &mut Vec<Diagnostic>) {
             out,
             "unsafe",
             t.line,
-            "this workspace is unsafe-free; if unsafe is truly required, precede it \
+            "unsafe needs an argument here; if it is truly required, precede it \
              with a `// SAFETY:` comment discharging the proof obligation"
                 .to_string(),
         );

@@ -45,10 +45,27 @@ pub fn gemm_flop_count() -> u64 {
 const COLMAX_TILE: usize = 8;
 
 /// Independent accumulator lanes of the unrolled dot product inside
-/// [`colmax_matmul_f32`]. Eight f32 lanes map onto one AVX register (or two
-/// NEON registers); the per-lane sums are combined in a fixed tree so the
-/// result is deterministic.
+/// [`colmax_matmul_f32`]. Eight f32 lanes are two SSE registers in the
+/// portable build and one AVX register in the AVX2 build (see
+/// `has_avx2`); the per-lane sums are combined in a fixed tree, so both
+/// builds give the same bits.
 const DOT_LANES: usize = 8;
+
+/// Whether this CPU runs the AVX2 builds of the kernels.
+///
+/// Each hot kernel body (`gemm_body`, `colmax_body`, `colmax_panel_body`)
+/// is `#[inline(always)]` and compiled twice: inline in its public entry
+/// point for the baseline target, and inside a `#[target_feature(enable =
+/// "avx2")]` wrapper. The entry point picks the wrapper when this returns
+/// true. Both builds are the same Rust loops, so every output keeps its
+/// exact order of operations; Rust never contracts `a * b + c` into an FMA,
+/// so the two builds are bit-identical. The detection result is cached by
+/// the standard library, so a call is one relaxed load.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn has_avx2() -> bool {
+    std::arch::is_x86_feature_detected!("avx2")
+}
 
 /// Multi-lane dot product: `DOT_LANES` independent partial sums over the
 /// bulk (which the compiler vectorizes — no float reassociation is needed
@@ -140,12 +157,32 @@ pub fn colmax_matmul_scratch_f32(
     if a.is_empty() {
         return;
     }
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        // SAFETY: `colmax_avx2` enables only AVX2, which `has_avx2` just
+        // confirmed this CPU supports.
+        unsafe { colmax_avx2(scratch, a, b, cols, out) };
+        return;
+    }
+    colmax_body(scratch, a, b, cols, out);
+}
+
+/// Shape dispatch of [`colmax_matmul_scratch_f32`] over a non-empty panel.
+#[inline(always)]
+fn colmax_body(scratch: &mut ColmaxScratch, a: &[f32], b: &[f32], cols: usize, out: &mut [f32]) {
     let m = a.len() / cols;
     if m >= 2 * cols {
         colmax_tall(scratch, a, m, b, cols, out);
     } else {
         colmax_wide(a, b, cols, out);
     }
+}
+
+/// [`colmax_body`] compiled for AVX2 (see `has_avx2`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn colmax_avx2(scratch: &mut ColmaxScratch, a: &[f32], b: &[f32], cols: usize, out: &mut [f32]) {
+    colmax_body(scratch, a, b, cols, out);
 }
 
 /// [`colmax_matmul_scratch_f32`] with a throwaway scratch — convenient for
@@ -249,12 +286,48 @@ pub fn colmax_matmul_panel_f32(
     if a.is_empty() || out.is_empty() {
         return;
     }
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        // SAFETY: `colmax_panel_avx2` enables only AVX2, which `has_avx2`
+        // just confirmed this CPU supports.
+        unsafe { colmax_panel_avx2(scratch, a, b, panel, lo, out) };
+        return;
+    }
+    colmax_panel_body(scratch, a, b, panel, lo, out);
+}
+
+/// Shape dispatch of [`colmax_matmul_panel_f32`] over a non-empty panel
+/// and shard.
+#[inline(always)]
+fn colmax_panel_body(
+    scratch: &mut ColmaxScratch,
+    a: &[f32],
+    b: &[f32],
+    panel: &ColmaxPanel,
+    lo: usize,
+    out: &mut [f32],
+) {
+    let cols = panel.cols;
     let m = a.len() / cols;
     if m >= 2 * cols {
         colmax_panel_tall(scratch, a, panel, lo, out);
     } else {
         colmax_wide(a, &b[lo * cols..(lo + out.len()) * cols], cols, out);
     }
+}
+
+/// [`colmax_panel_body`] compiled for AVX2 (see `has_avx2`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn colmax_panel_avx2(
+    scratch: &mut ColmaxScratch,
+    a: &[f32],
+    b: &[f32],
+    panel: &ColmaxPanel,
+    lo: usize,
+    out: &mut [f32],
+) {
+    colmax_panel_body(scratch, a, b, panel, lo, out);
 }
 
 /// Tall-panel path over a cached transpose: patches stream in the outer
@@ -265,6 +338,7 @@ pub fn colmax_matmul_panel_f32(
 /// is order-independent, so the shard result is bit-identical to the
 /// uncached tall path — with no per-request transpose and no per-request
 /// allocation once `scratch` has grown.
+#[inline(always)]
 fn colmax_panel_tall(
     scratch: &mut ColmaxScratch,
     a: &[f32],
@@ -299,6 +373,7 @@ fn colmax_panel_tall(
 
 /// Tall-panel path: transpose `a` once, then accumulate all `m` dot
 /// products per prototype row along contiguous patch columns.
+#[inline(always)]
 fn colmax_tall(
     scratch: &mut ColmaxScratch,
     a: &[f32],
@@ -335,6 +410,7 @@ fn colmax_tall(
 }
 
 /// Wide-panel path: register-tile `b`'s rows, stream the patch panel.
+#[inline(always)]
 fn colmax_wide(a: &[f32], b: &[f32], cols: usize, out: &mut [f32]) {
     for (tile, out_tile) in out.chunks_mut(COLMAX_TILE).enumerate() {
         let b_tile = &b[tile * COLMAX_TILE * cols..][..out_tile.len() * cols];
@@ -384,23 +460,25 @@ fn max_lanes(xs: &[f32]) -> f32 {
 /// BLIS-style micro-kernel).
 const GEMM_MR: usize = 4;
 
-/// Output columns per register tile of [`gemm_f32`]. `GEMM_MR × GEMM_NB`
-/// f32 accumulators live in registers across the whole `k` loop —
-/// 4×8 = 32 lanes fits the 16 SSE registers of the baseline x86-64 target
-/// with room for the broadcast/load operands (and vectorizes wider when
-/// AVX is enabled).
+/// Output columns per register tile of [`gemm_f32`]. The `GEMM_MR ×
+/// GEMM_NB` tile is 32 f32 accumulators: eight of the 16 SSE registers in
+/// the portable build, four of the 16 AVX registers in the AVX2 build (see
+/// `has_avx2`), leaving room for the broadcast and `b` operands either way.
 const GEMM_NB: usize = 8;
 
-/// Reusable workspace of [`gemm_f32`]: the `A` panel re-packed so each
-/// register tile reads its `GEMM_MR` operands contiguously. Keep one per
-/// thread; it grows once to the largest layer geometry, after which the
-/// kernel never allocates.
+/// Reusable workspace of [`gemm_f32`]: the `a` panel and one column panel
+/// of `b`, each re-packed so the micro-kernel reads its operands
+/// contiguously. Keep one per thread; it grows once to the largest layer
+/// geometry, after which the kernel never allocates.
 #[derive(Debug, Default, Clone)]
 pub struct GemmScratch {
     /// `ceil(m / GEMM_MR) · GEMM_MR × k` packed copy of `a`, tile-major:
     /// block `i` holds rows `[i·MR, (i+1)·MR)` interleaved as `[kk][mr]`
     /// (tail rows zero-filled).
     a_pack: Vec<f32>,
+    /// `k × GEMM_NB` copy of the current `GEMM_NB`-column panel of `b`, one
+    /// contiguous row per `kk` (columns past `n` zero-filled).
+    b_pack: Vec<f32>,
 }
 
 /// Blocked row-major single-precision GEMM: `out = a · b` with
@@ -415,11 +493,16 @@ pub struct GemmScratch {
 ///   [`GemmScratch`] so the micro-kernel's `GEMM_MR` row operands sit
 ///   contiguously (`[kk][mr]` order), turning the strided weight reads
 ///   into sequential loads.
-/// * **Register tiling** — the inner loop computes a `GEMM_MR × GEMM_NB`
-///   output tile with all accumulators in registers, streaming `b` row by
-///   row; each accumulator sums its `k` terms in ascending-`kk` order, so
-///   the result is bit-deterministic (same inputs ⇒ same bits, any call
-///   pattern).
+/// * **Column panels** — each `GEMM_NB`-column panel of `b` is copied once
+///   into [`GemmScratch`] as `k` contiguous rows, zero-padded past `n`, so
+///   every tile (the last, partial one included) runs the same full-width
+///   micro-kernel over sequential loads.
+/// * **Register tiling** — the micro-kernel (`gemm_tile`) returns one
+///   `GEMM_MR × GEMM_NB` output tile by value; its `k` loop works on
+///   fixed-size operands with no bounds checks, so the 32 accumulators
+///   stay in registers. Each accumulator sums its `k` terms in
+///   ascending-`kk` order, so the result is bit-deterministic (same inputs
+///   ⇒ same bits, any call pattern, portable or AVX2 build).
 ///
 /// For the fused bias + ReLU epilogue the convolution path wants, see
 /// [`gemm_bias_relu_f32`]; both share this implementation.
@@ -485,12 +568,61 @@ fn gemm_impl(
     }
     GEMM_CALLS.fetch_add(1, Ordering::Relaxed);
     GEMM_FLOPS.fetch_add(2 * (m as u64) * (k as u64) * (n as u64), Ordering::Relaxed);
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        // SAFETY: `gemm_avx2` enables only AVX2, which `has_avx2` just
+        // confirmed this CPU supports.
+        unsafe { gemm_avx2(scratch, a, b, m, k, n, bias, relu, out) };
+        return;
+    }
+    gemm_body(scratch, a, b, m, k, n, bias, relu, out);
+}
+
+/// [`gemm_body`] compiled for AVX2 (see `has_avx2`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+fn gemm_avx2(
+    scratch: &mut GemmScratch,
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    bias: Option<&[f32]>,
+    relu: bool,
+    out: &mut [f32],
+) {
+    gemm_body(scratch, a, b, m, k, n, bias, relu, out);
+}
+
+/// The blocked product behind [`gemm_impl`], for validated, non-empty
+/// shapes: pack `a`, then for each column panel of `b` pack the panel and
+/// run the micro-kernel over every row block.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn gemm_body(
+    scratch: &mut GemmScratch,
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    bias: Option<&[f32]>,
+    relu: bool,
+    out: &mut [f32],
+) {
     let m_blocks = m.div_ceil(GEMM_MR);
     let packed = m_blocks * GEMM_MR * k;
-    if scratch.a_pack.len() < packed {
-        scratch.a_pack.resize(packed, 0.0);
+    let GemmScratch { a_pack, b_pack } = scratch;
+    if a_pack.len() < packed {
+        a_pack.resize(packed, 0.0);
     }
-    let a_pack = &mut scratch.a_pack[..packed];
+    if b_pack.len() < k * GEMM_NB {
+        b_pack.resize(k * GEMM_NB, 0.0);
+    }
+    let a_pack = &mut a_pack[..packed];
+    let b_pack = &mut b_pack[..k * GEMM_NB];
     // Pack: block i, layout [kk * GEMM_MR + mr] = a[(i*MR + mr) * k + kk].
     for i in 0..m_blocks {
         let block = &mut a_pack[i * GEMM_MR * k..(i + 1) * GEMM_MR * k];
@@ -507,50 +639,47 @@ fn gemm_impl(
             }
         }
     }
-    for i in 0..m_blocks {
-        let block = &a_pack[i * GEMM_MR * k..(i + 1) * GEMM_MR * k];
-        let rows = GEMM_MR.min(m - i * GEMM_MR);
-        let mut j0 = 0;
-        while j0 < n {
-            let nb = GEMM_NB.min(n - j0);
-            let mut acc = [[0.0f32; GEMM_NB]; GEMM_MR];
-            if nb == GEMM_NB {
-                // Full-width tile: fixed trip counts so the accumulators
-                // stay in registers across the k loop.
-                for kk in 0..k {
-                    let a_col = &block[kk * GEMM_MR..(kk + 1) * GEMM_MR];
-                    let b_row = &b[kk * n + j0..kk * n + j0 + GEMM_NB];
-                    for mr in 0..GEMM_MR {
-                        let av = a_col[mr];
-                        for jj in 0..GEMM_NB {
-                            acc[mr][jj] += av * b_row[jj];
-                        }
-                    }
-                }
-            } else {
-                for kk in 0..k {
-                    let a_col = &block[kk * GEMM_MR..(kk + 1) * GEMM_MR];
-                    let b_row = &b[kk * n + j0..kk * n + j0 + nb];
-                    for mr in 0..GEMM_MR {
-                        let av = a_col[mr];
-                        for (jj, &bv) in b_row.iter().enumerate() {
-                            acc[mr][jj] += av * bv;
-                        }
-                    }
-                }
-            }
-            for mr in 0..rows {
+    for j0 in (0..n).step_by(GEMM_NB) {
+        let nb = GEMM_NB.min(n - j0);
+        // Pack: row kk of the panel = b[kk * n + j0..][..nb], zero-padded.
+        for (dst, b_row) in b_pack.chunks_exact_mut(GEMM_NB).zip(b.chunks_exact(n)) {
+            dst[..nb].copy_from_slice(&b_row[j0..j0 + nb]);
+            dst[nb..].fill(0.0);
+        }
+        for i in 0..m_blocks {
+            let tile = gemm_tile(&a_pack[i * GEMM_MR * k..(i + 1) * GEMM_MR * k], b_pack);
+            let rows = GEMM_MR.min(m - i * GEMM_MR);
+            for (mr, acc) in tile.iter().enumerate().take(rows) {
                 let row = i * GEMM_MR + mr;
                 let add = bias.map_or(0.0, |bs| bs[row]);
                 let dst = &mut out[row * n + j0..row * n + j0 + nb];
-                for (d, &v) in dst.iter_mut().zip(&acc[mr][..nb]) {
+                for (d, &v) in dst.iter_mut().zip(acc) {
                     let y = v + add;
                     *d = if relu && y < 0.0 { 0.0 } else { y };
                 }
             }
-            j0 += nb;
         }
     }
+}
+
+/// The GEMM micro-kernel: one `GEMM_MR × GEMM_NB` output tile,
+/// `tile[mr][jj] = Σ_kk a_block[kk·MR + mr] · b_panel[kk·NB + jj]` with
+/// `kk` ascending. The `k` loop walks fixed-size operands, so it has no
+/// bounds checks, and the tile is returned by value, so no accumulator is
+/// stored to memory inside the loop.
+#[inline(always)]
+fn gemm_tile(a_block: &[f32], b_panel: &[f32]) -> [[f32; GEMM_NB]; GEMM_MR] {
+    let mut tile = [[0.0f32; GEMM_NB]; GEMM_MR];
+    let (a_cols, _) = a_block.as_chunks::<GEMM_MR>();
+    let (b_rows, _) = b_panel.as_chunks::<GEMM_NB>();
+    for (a_col, b_row) in a_cols.iter().zip(b_rows) {
+        for (acc, &av) in tile.iter_mut().zip(a_col) {
+            for (c, &bv) in acc.iter_mut().zip(b_row) {
+                *c += av * bv;
+            }
+        }
+    }
+    tile
 }
 
 /// Lower a `C×H×W` channel-major map into the **same-padded 3×3 patch
@@ -1108,6 +1237,164 @@ mod tests {
         // Without relu the negatives pass through.
         gemm_bias_relu_f32(&mut GemmScratch::default(), &a, &b, 1, 2, 3, &[-6.0], false, &mut out);
         assert_eq!(out, [-1.0, 1.0, 3.0]);
+    }
+
+    /// Bit-exactness of the AVX2 kernel builds against the portable builds.
+    /// The portable side calls the `#[inline(always)]` bodies from this
+    /// (baseline-target) module; the AVX2 side calls the public entry
+    /// points, which pick the AVX2 wrappers on a CPU that has it.
+    #[cfg(target_arch = "x86_64")]
+    mod avx2_equivalence {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Whether this CPU can run the comparison; says so when it cannot.
+        fn avx2_or_skip(test: &str) -> bool {
+            let ok = has_avx2();
+            if !ok {
+                eprintln!("{test}: skipped, this CPU has no AVX2 (portable build only)");
+            }
+            ok
+        }
+
+        fn random_vec(len: usize, seed: u64) -> Vec<f32> {
+            let mut rng = rng::std_rng(seed);
+            (0..len).map(|_| rng::normal(&mut rng) as f32).collect()
+        }
+
+        fn bits(v: &[f32]) -> Vec<u32> {
+            v.iter().map(|x| x.to_bits()).collect()
+        }
+
+        /// `gemm_f32` (no bias) or `gemm_bias_relu_f32` through the public
+        /// entry point and through the portable body; panics on any bit
+        /// difference.
+        fn check_gemm(m: usize, k: usize, n: usize, bias: bool, relu: bool, seed: u64) {
+            let a = random_vec(m * k, seed);
+            let b = random_vec(k * n, seed ^ 0xB);
+            let bias_v = random_vec(m, seed ^ 0xC);
+            let bias = bias.then_some(bias_v.as_slice());
+            let mut portable = vec![f32::NAN; m * n];
+            gemm_body(&mut GemmScratch::default(), &a, &b, m, k, n, bias, relu, &mut portable);
+            let mut dispatched = vec![f32::NAN; m * n];
+            match bias {
+                Some(bs) => gemm_bias_relu_f32(
+                    &mut GemmScratch::default(),
+                    &a,
+                    &b,
+                    m,
+                    k,
+                    n,
+                    bs,
+                    relu,
+                    &mut dispatched,
+                ),
+                None => {
+                    assert!(!relu, "gemm_f32 has no ReLU epilogue");
+                    gemm_f32(&mut GemmScratch::default(), &a, &b, m, k, n, &mut dispatched);
+                }
+            }
+            assert_eq!(
+                bits(&portable),
+                bits(&dispatched),
+                "m={m} k={k} n={n} bias={} relu={relu}",
+                bias.is_some()
+            );
+        }
+
+        #[test]
+        fn gemm_avx2_matches_portable_on_edge_shapes() {
+            if !avx2_or_skip("gemm_avx2_matches_portable_on_edge_shapes") {
+                return;
+            }
+            // m % 4 != 0, n % 8 != 0, k = 1, and exact tiles.
+            for &(m, k, n) in
+                &[(1, 1, 1), (5, 1, 13), (4, 1, 8), (7, 9, 3), (8, 27, 16), (3, 72, 9)]
+            {
+                check_gemm(m, k, n, false, false, 1);
+                check_gemm(m, k, n, true, false, 2);
+                check_gemm(m, k, n, true, true, 3);
+            }
+        }
+
+        /// Portable colmax over a non-empty panel, as the public entry
+        /// point would run it without AVX2.
+        fn colmax_portable(a: &[f32], b: &[f32], cols: usize) -> Vec<f32> {
+            let mut out = vec![f32::NEG_INFINITY; b.len() / cols];
+            colmax_body(&mut ColmaxScratch::default(), a, b, cols, &mut out);
+            out
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn gemm_avx2_matches_portable(
+                m in 1usize..14,
+                k in 1usize..40,
+                n in 1usize..30,
+                epilogue in 0u8..3,
+                seed in 0u64..1_000,
+            ) {
+                if !avx2_or_skip("gemm_avx2_matches_portable") {
+                    return;
+                }
+                // 0: gemm_f32; 1: bias, no ReLU; 2: bias + ReLU.
+                check_gemm(m, k, n, epilogue > 0, epilogue == 2, seed);
+            }
+
+            #[test]
+            fn colmax_avx2_matches_portable(
+                cols in 1usize..24,
+                tall in 0u8..2,
+                extra in 0usize..40,
+                n in 1usize..40,
+                seed in 0u64..1_000,
+            ) {
+                if !avx2_or_skip("colmax_avx2_matches_portable") {
+                    return;
+                }
+                // Tall panels have m ≥ 2·cols patches, wide ones fewer.
+                let m = if tall == 1 { 2 * cols + extra } else { 1 + extra % (2 * cols - 1).max(1) };
+                let a = random_vec(m * cols, seed);
+                let b = random_vec(n * cols, seed ^ 0xB);
+                let mut dispatched = vec![0.0f32; n];
+                colmax_matmul_f32(&a, &b, cols, &mut dispatched);
+                prop_assert_eq!(
+                    bits(&colmax_portable(&a, &b, cols)),
+                    bits(&dispatched),
+                    "m={} cols={} n={}", m, cols, n
+                );
+            }
+
+            #[test]
+            fn colmax_panel_avx2_matches_portable(
+                cols in 1usize..24,
+                m in 1usize..60,
+                n in 1usize..40,
+                lo in 0usize..40,
+                len in 1usize..40,
+                seed in 0u64..1_000,
+            ) {
+                if !avx2_or_skip("colmax_panel_avx2_matches_portable") {
+                    return;
+                }
+                let lo = lo % n;
+                let len = 1 + (len - 1) % (n - lo);
+                let a = random_vec(m * cols, seed);
+                let b = random_vec(n * cols, seed ^ 0xB);
+                let panel = ColmaxPanel::new(&b, cols);
+                let mut portable = vec![f32::NEG_INFINITY; len];
+                colmax_panel_body(&mut ColmaxScratch::default(), &a, &b, &panel, lo, &mut portable);
+                let mut dispatched = vec![0.0f32; len];
+                colmax_matmul_panel_f32(&mut ColmaxScratch::default(), &a, &b, &panel, lo, &mut dispatched);
+                prop_assert_eq!(
+                    bits(&portable),
+                    bits(&dispatched),
+                    "m={} cols={} rows [{}, {})", m, cols, lo, lo + len
+                );
+            }
+        }
     }
 
     #[test]

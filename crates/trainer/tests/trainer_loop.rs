@@ -94,7 +94,10 @@ mod loop_tests {
     fn publishes_under_live_load_with_zero_drops() {
         let _guard = serial();
         let (config, bootstrap, fresh) = fixture(11);
-        let (service, trainer) = stack(bootstrap, &config, open_gate());
+        // The batch below is ingested one image at a time; `min_batch` equal
+        // to its size keeps the trainer from waking on a partial batch.
+        let options = TrainerConfig { min_batch: 3, ..open_gate() };
+        let (service, trainer) = stack(bootstrap, &config, options);
 
         // Live label load on a second thread for the whole cycle.
         let stop = Arc::new(AtomicBool::new(false));

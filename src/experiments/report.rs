@@ -103,20 +103,29 @@ impl Table {
     }
 }
 
-/// Directory where the bench harness drops CSV artifacts. Defaults to
-/// `<workspace root>/results` (benches run with the *package* directory as
-/// CWD, so a relative path would scatter artifacts); override with
-/// `GOGGLES_RESULTS_DIR`.
+/// Directory where the bench harness drops CSV/JSON artifacts: `results/`
+/// under the current directory, or `GOGGLES_RESULTS_DIR` when set. The
+/// fallback is resolved at run time, never from the build's source tree, so
+/// a binary built in one checkout writes into the checkout it runs in.
+/// `cargo bench` runs with the *package* directory as CWD; set
+/// `GOGGLES_RESULTS_DIR` there to collect artifacts elsewhere.
 pub fn results_dir() -> std::path::PathBuf {
-    match std::env::var("GOGGLES_RESULTS_DIR") {
-        Ok(dir) => std::path::PathBuf::from(dir),
-        Err(_) => std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results"),
-    }
+    std::env::var_os("GOGGLES_RESULTS_DIR")
+        .map_or_else(|| std::path::PathBuf::from("results"), std::path::PathBuf::from)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn results_dir_falls_back_to_the_working_directory() {
+        // Without the override the path must be relative, so it resolves
+        // against wherever the binary runs, not where it was built.
+        if std::env::var_os("GOGGLES_RESULTS_DIR").is_none() {
+            assert_eq!(results_dir(), std::path::PathBuf::from("results"));
+        }
+    }
 
     #[test]
     fn render_aligns_columns() {

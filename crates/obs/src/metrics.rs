@@ -16,15 +16,15 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 /// Number of power-of-two histogram buckets. Bucket `i` covers values in
 /// `(2^i, 2^(i+1)]` microseconds-or-whatever-unit, with bucket 0 also
 /// absorbing 0 and 1, and the top bucket absorbing everything larger.
-/// Matches the serving stack's `LatencyHistogram` so snapshots convert
-/// bucket-for-bucket.
+/// Upper bounds are inclusive, as Prometheus reads `le`.
 pub(crate) const POW2_BUCKETS: usize = 32;
 
-/// Index of the power-of-two bucket for `value` (same scheme as the serving
-/// crate's `LatencyHistogram::bucket_index`).
+/// Index of the power-of-two bucket for `value`: `ceil(log2(value)) - 1`,
+/// with 0..=2 in bucket 0 and the top bucket clamped.
 #[inline]
 pub fn bucket_index(value: u64) -> usize {
-    (63 - value.max(1).leading_zeros() as usize).min(POW2_BUCKETS - 1)
+    let ceil_log2 = 64 - value.saturating_sub(1).leading_zeros() as usize;
+    ceil_log2.saturating_sub(1).min(POW2_BUCKETS - 1)
 }
 
 /// Inclusive upper bound of bucket `i` (`u64::MAX` for the top bucket).
@@ -160,9 +160,9 @@ impl Histogram {
     }
 }
 
-/// Point-in-time copy of a histogram, with the same percentile semantics as
-/// the serving crate's `LatencyHistogram` (conservative: reports the bucket
-/// upper bound).
+/// Point-in-time copy of a histogram. Percentiles are conservative: they
+/// report the upper bound of the bucket holding the rank, so the true
+/// value is never understated by more than the 2× bucket resolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     pub counts: [u64; POW2_BUCKETS],
@@ -176,7 +176,6 @@ impl HistogramSnapshot {
 
     /// Upper bound of the bucket holding the `q`-quantile observation
     /// (0 when the histogram is empty).
-    // goggles-lint: allow(dead-pub): snapshot quantile accessor the scrape text renders inline; exercised only by unit tests
     pub fn quantile_upper(&self, q: f64) -> u64 {
         let total = self.total();
         if total == 0 {
@@ -491,16 +490,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bucket_scheme_matches_latency_histogram() {
+    fn bucket_upper_bounds_are_inclusive() {
         assert_eq!(bucket_index(0), 0);
         assert_eq!(bucket_index(1), 0);
-        assert_eq!(bucket_index(2), 1);
+        assert_eq!(bucket_index(2), 0);
         assert_eq!(bucket_index(3), 1);
-        assert_eq!(bucket_index(4), 2);
+        assert_eq!(bucket_index(4), 1);
+        assert_eq!(bucket_index(5), 2);
+        assert_eq!(bucket_index(1024), 9);
+        assert_eq!(bucket_index(1025), 10);
+        assert_eq!(bucket_index(1 << 31), POW2_BUCKETS - 2);
+        assert_eq!(bucket_index((1 << 31) + 1), POW2_BUCKETS - 1);
         assert_eq!(bucket_index(u64::MAX), POW2_BUCKETS - 1);
         assert_eq!(bucket_upper(0), 2);
         assert_eq!(bucket_upper(1), 4);
+        assert_eq!(bucket_upper(10), 2048);
         assert_eq!(bucket_upper(POW2_BUCKETS - 1), u64::MAX);
+        // Every value sits at or below its bucket's upper bound and above
+        // the previous one's.
+        for v in 1..=5000u64 {
+            let i = bucket_index(v);
+            assert!(v <= bucket_upper(i), "{v} above bucket {i}");
+            assert!(i == 0 || v > bucket_upper(i - 1), "{v} belongs below bucket {i}");
+        }
     }
 
     #[test]
@@ -550,6 +562,17 @@ mod tests {
     }
 
     #[test]
+    fn observation_on_a_power_of_two_renders_under_that_le() {
+        // Prometheus reads `le` as inclusive: an observation of exactly 4
+        // belongs to the `le="4"` bucket, not the next one up.
+        let reg = Registry::new();
+        reg.histogram("g_edge_us", "edge", &[]).observe(4);
+        let text = reg.render();
+        assert!(text.contains("g_edge_us_bucket{le=\"4\"} 1"), "{text}");
+        assert!(!text.contains("le=\"8\""), "{text}");
+    }
+
+    #[test]
     fn float_gauges_round_trip_and_render() {
         let reg = Registry::new();
         let g = reg.float_gauge("g_score", "dev score", &[]);
@@ -595,5 +618,21 @@ mod tests {
         assert_eq!(snap.quantile_upper(0.5), 2); // bucket of the 1s
         assert_eq!(snap.quantile_upper(0.99), 1024); // bucket of 1000
         assert_eq!(HistogramSnapshot { counts: [0; POW2_BUCKETS], sum: 0 }.quantile_upper(0.5), 0);
+
+        // 98 fast observations (~100 µs), 2 slow ones (~100 ms): p50 and p98
+        // stay in the fast bucket, p99 and p100 reach the slow one.
+        let h = Histogram::detached();
+        for _ in 0..98 {
+            h.observe(100);
+        }
+        h.observe(100_000);
+        h.observe(100_000);
+        let snap = h.snapshot();
+        assert_eq!(snap.total(), 100);
+        assert_eq!(snap.sum, 98 * 100 + 2 * 100_000);
+        assert_eq!(snap.quantile_upper(0.50), 128);
+        assert_eq!(snap.quantile_upper(0.98), 128);
+        assert_eq!(snap.quantile_upper(0.99), 131_072);
+        assert_eq!(snap.quantile_upper(1.0), 131_072);
     }
 }

@@ -9,16 +9,17 @@
 //! sees the whole burst at once.
 //!
 //! Beyond labeling, the client drives the serving control plane remotely:
-//! [`RemoteLabeler::stats`] (full counter snapshot + current version),
-//! [`RemoteLabeler::reload`] (hot-swap a server-side snapshot file behind
-//! live traffic) and [`RemoteLabeler::shutdown_server`].
+//! [`RemoteLabeler::metrics`] (the server's Prometheus text: every counter
+//! plus the current version), [`RemoteLabeler::reload`] (hot-swap a
+//! server-side snapshot file behind live traffic) and
+//! [`RemoteLabeler::shutdown_server`].
 //!
 //! ## Resilience: [`RetryPolicy`]
 //!
 //! Connected with [`RemoteLabeler::connect_with`], the client retries
-//! **idempotent blocking operations** (`label`, `label_all` items, `stats`,
-//! `metrics`) on retryable errors ([`ServeError::retryable`]: `Overloaded`,
-//! `Io`, `Closed`) with capped exponential backoff plus seeded jitter, and
+//! **idempotent blocking operations** (`label`, `label_all` items, `metrics`)
+//! on retryable errors ([`ServeError::retryable`]: `Overloaded`, `Io`,
+//! `Closed`) with capped exponential backoff plus seeded jitter, and
 //! transparently **reconnects** when the connection died — the failed
 //! request is replayed on the fresh connection. Non-idempotent operations
 //! (`reload`, `shutdown_server`) and the raw ticket-based `submit` are
@@ -32,8 +33,8 @@ use crate::api::{Labeler, Ticket};
 use crate::service::LabelResponse;
 use crate::wire::{
     self, decode_error_reply, decode_ingest_reply, decode_label_reply, decode_metrics_reply,
-    decode_reload_reply, decode_stats_reply, encode_ingest_request, encode_label_request,
-    encode_reload_request, Frame, Opcode, RemoteStats,
+    decode_reload_reply, encode_ingest_request, encode_label_request, encode_reload_request, Frame,
+    Opcode,
 };
 use crate::{ServeError, ServeResult};
 use goggles_vision::Image;
@@ -101,7 +102,6 @@ impl RetryPolicy {
 /// A reply waiter, keyed by request id in [`ClientShared::pending`].
 enum Pending {
     Label(mpsc::Sender<ServeResult<LabelResponse>>),
-    Stats(mpsc::Sender<ServeResult<RemoteStats>>),
     Metrics(mpsc::Sender<ServeResult<String>>),
     Reload(mpsc::Sender<ServeResult<u64>>),
     Ingest(mpsc::Sender<ServeResult<u64>>),
@@ -113,7 +113,6 @@ impl Pending {
     fn fail(self, err: ServeError) {
         match self {
             Pending::Label(tx) => drop(tx.send(Err(err))),
-            Pending::Stats(tx) => drop(tx.send(Err(err))),
             Pending::Metrics(tx) => drop(tx.send(Err(err))),
             Pending::Reload(tx) => drop(tx.send(Err(err))),
             Pending::Ingest(tx) => drop(tx.send(Err(err))),
@@ -199,9 +198,6 @@ impl ClientShared {
             }
             (Opcode::LabelReply, Pending::Label(tx)) => {
                 let _ = tx.send(decode_label_reply(&frame.payload));
-            }
-            (Opcode::StatsReply, Pending::Stats(tx)) => {
-                let _ = tx.send(decode_stats_reply(&frame.payload));
             }
             (Opcode::MetricsReply, Pending::Metrics(tx)) => {
                 let _ = tx.send(decode_metrics_reply(&frame.payload));
@@ -402,20 +398,13 @@ impl RemoteLabeler {
         }
     }
 
-    /// Full counter snapshot of the remote service, plus the snapshot
-    /// version currently serving. Idempotent — retried under the policy.
-    pub fn stats(&self) -> ServeResult<RemoteStats> {
-        self.with_retry(None, |shared| {
-            let (tx, rx) = mpsc::channel();
-            shared.send(Opcode::StatsRequest, &[], Pending::Stats(tx))?;
-            rx.recv().unwrap_or(Err(ServeError::Closed))
-        })
-    }
-
     /// Scrape the remote service's metrics registry: the same Prometheus
     /// text exposition that the server's `GET /metrics` HTTP front renders
     /// ([`crate::LabelService::render_metrics`]), shipped over the wire
-    /// protocol instead of HTTP. Idempotent — retried under the policy.
+    /// protocol instead of HTTP. It carries every service counter
+    /// (`goggles_requests_total{result=…}`, `goggles_batches_total`,
+    /// `goggles_request_latency_us`, …) and the serving
+    /// `goggles_snapshot_version`. Idempotent — retried under the policy.
     pub fn metrics(&self) -> ServeResult<String> {
         self.with_retry(None, |shared| {
             let (tx, rx) = mpsc::channel();

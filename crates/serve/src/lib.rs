@@ -18,7 +18,10 @@
 //!    Per-request cost is `O(image)`, not `O(dataset)`.
 //! 3. **Service front** — [`LabelService`] runs worker threads over a
 //!    bounded request queue with micro-batching (configurable batch size
-//!    and linger timeout) and throughput/latency counters.
+//!    and linger timeout). Throughput and latency are counted once, in the
+//!    service's `goggles_obs` registry: [`LabelService::stats`] reads it
+//!    back as a typed view, [`LabelService::render_metrics`] as Prometheus
+//!    text.
 //! 4. **Model lifecycle** — a [`SnapshotRegistry`] of versioned
 //!    `Arc<FittedLabeler>`s behind every service: atomic
 //!    `publish`/`rollback` under live traffic (workers resolve the current
@@ -75,13 +78,10 @@ pub use client::{RemoteLabeler, RetryPolicy};
 pub use fault::FaultPlan;
 pub use registry::{PublishedSnapshot, SnapshotRegistry, VersionInfo};
 pub use server::{IngestSink, ServerOptions, WireServer};
-pub use service::{
-    LabelResponse, LabelService, LatencyHistogram, ServeConfig, ServiceStats, StageStats,
-};
+pub use service::{LabelResponse, LabelService, ServeConfig, ServiceStats, StageStats};
 pub use snapshot::{
     sweep_snapshot_dir, FittedLabeler, SnapshotFormat, StageTiming, SweepReport, TrainingBootstrap,
 };
-pub use wire::RemoteStats;
 
 /// Errors surfaced by the serving layer.
 ///

@@ -30,8 +30,7 @@
 use crate::service::LabelService;
 use crate::wire::{
     self, decode_ingest_request, decode_label_request, decode_reload_request, encode_error_reply,
-    encode_ingest_reply, encode_label_reply, encode_metrics_reply, encode_reload_reply,
-    encode_stats_reply, Opcode, RemoteStats,
+    encode_ingest_reply, encode_label_reply, encode_metrics_reply, encode_reload_reply, Opcode,
 };
 use crate::{ServeError, ServeResult, Ticket};
 use goggles_vision::Image;
@@ -327,7 +326,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
 
 /// Per-connection reply jobs, written strictly in submission order.
 enum Reply {
-    /// Already-encoded frame (stats, reload, errors, shutdown ack).
+    /// Already-encoded frame (metrics, reload, errors, shutdown ack).
     Raw { id: u64, opcode: Opcode, payload: Vec<u8> },
     /// A labeling ticket to await; resolves to a label reply or an error
     /// reply.
@@ -420,20 +419,6 @@ fn handle_connection(stream: TcpStream, shared: &Arc<ServerShared>) {
                     Err(e) => error_reply(id, &e),
                 };
                 if jobs.send(job).is_err() {
-                    break;
-                }
-            }
-            Opcode::StatsRequest => {
-                let remote = RemoteStats {
-                    stats: service.stats(),
-                    version: service.registry().current_version(),
-                };
-                let raw = Reply::Raw {
-                    id,
-                    opcode: Opcode::StatsReply,
-                    payload: encode_stats_reply(&remote),
-                };
-                if jobs.send(raw).is_err() {
                     break;
                 }
             }

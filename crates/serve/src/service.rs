@@ -6,9 +6,10 @@
 //! [`ServeConfig::batch_timeout`] for more to arrive (capped at
 //! [`ServeConfig::max_batch`]) so concurrent traffic is labeled in one
 //! embedding/fold-in pass — the classic latency/throughput trade of
-//! inference serving. Throughput and latency counters (including a
-//! fixed-bucket [`LatencyHistogram`] for p50/p99) are kept on the side and
-//! can be snapshotted at any time with [`LabelService::stats`].
+//! inference serving. Every serving event is counted once, in the service's
+//! observability registry (the `goggles_*` families of
+//! [`LabelService::render_metrics`]); [`LabelService::stats`] is a typed
+//! read-only view over those same counters and histograms.
 //!
 //! Submission is **ticket-based** ([`LabelService::submit`] →
 //! [`Ticket`]): the caller gets a handle it can `poll`, `wait`, or
@@ -31,9 +32,10 @@ use crate::registry::{PublishedSnapshot, SnapshotRegistry};
 use crate::snapshot::FittedLabeler;
 use crate::{ServeError, ServeResult};
 use goggles_core::{EmbedScratch, ProbabilisticLabels};
+use goggles_obs::HistogramSnapshot;
 use goggles_vision::Image;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -138,85 +140,10 @@ pub struct LabelResponse {
     pub version: u64,
 }
 
-/// Number of power-of-two latency buckets in [`LatencyHistogram`]. Bucket
-/// `i` counts requests whose latency fell in `[2^i, 2^(i+1))` microseconds
-/// (bucket 0 also absorbs 0), so 32 buckets cover 1 µs to ~71 minutes.
-pub(crate) const LATENCY_BUCKETS: usize = 32;
-
-/// Fixed-bucket (power-of-two) latency histogram, microsecond domain.
-///
-/// Mean and max alone hide tail latency — the metric that matters for a
-/// network front — so the service counts every request into one of
-/// `LATENCY_BUCKETS` log-scale buckets and derives percentiles from the
-/// counts. Percentiles are conservative: a bucket's *upper* bound is
-/// reported, so the true pXX is never understated by more than the 2×
-/// bucket resolution.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LatencyHistogram {
-    /// Request count per bucket.
-    pub counts: [u64; LATENCY_BUCKETS],
-}
-
-impl LatencyHistogram {
-    /// Bucket index for a latency in microseconds: `floor(log2(us))`,
-    /// clamped to the top bucket (0 µs lands in bucket 0).
-    pub fn bucket_index(us: u64) -> usize {
-        (63 - us.max(1).leading_zeros() as usize).min(LATENCY_BUCKETS - 1)
-    }
-
-    /// Upper bound (exclusive) of bucket `i` in microseconds; the top
-    /// bucket is unbounded.
-    pub(crate) fn bucket_upper_us(i: usize) -> u64 {
-        if i >= LATENCY_BUCKETS - 1 {
-            u64::MAX
-        } else {
-            1u64 << (i + 1)
-        }
-    }
-
-    /// Count one observation (test/bench-side helper; the service records
-    /// through its atomic counters).
-    pub fn record(&mut self, us: u64) {
-        if let Some(count) = self.counts.get_mut(Self::bucket_index(us)) {
-            *count += 1;
-        }
-    }
-
-    /// Add `other`'s counts into `self`, bucket by bucket — how
-    /// [`LabelService::stats`] folds the per-worker histogram shards into
-    /// one service-wide distribution.
-    pub(crate) fn merge(&mut self, other: &LatencyHistogram) {
-        for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *mine += theirs;
-        }
-    }
-
-    /// Total observations.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// The latency (µs, bucket upper bound) below which fraction `q` of
-    /// requests completed; 0 when empty. `q` is clamped to `(0, 1]`.
-    pub fn percentile_us(&self, q: f64) -> u64 {
-        let total = self.total();
-        if total == 0 {
-            return 0;
-        }
-        let target = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut cum = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            cum += c;
-            if cum >= target {
-                return Self::bucket_upper_us(i);
-            }
-        }
-        Self::bucket_upper_us(LATENCY_BUCKETS - 1)
-    }
-}
-
-/// Monotonic counters captured by [`LabelService::stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+/// Monotonic counters captured by [`LabelService::stats`]: a read-only
+/// view over the service's observability registry, so every field equals
+/// the matching `goggles_*` family of [`LabelService::render_metrics`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 // goggles-lint: allow(dead-pub): return type of pub LabelService::stats; external callers reach it through inference
 pub struct ServiceStats {
     /// Requests answered.
@@ -225,10 +152,6 @@ pub struct ServiceStats {
     pub batches: u64,
     /// Total images labeled (== requests; kept separate for clarity).
     pub images: u64,
-    /// Sum of per-request queue+service latency, microseconds.
-    pub total_latency_us: u64,
-    /// Worst single-request latency, microseconds.
-    pub max_latency_us: u64,
     /// Batches on which the labeler panicked. The batch's requests are then
     /// retried individually (salvage), so a failed batch no longer implies
     /// failed requests — see [`ServiceStats::failed_requests`].
@@ -258,11 +181,13 @@ pub struct ServiceStats {
     /// Requests sitting in the queue at snapshot time (a live gauge, not a
     /// monotonic counter: the one non-cumulative field here).
     pub queue_depth: u64,
-    /// Per-request latency distribution of answered requests.
-    pub latency: LatencyHistogram,
+    /// Per-request queue+service latency of answered requests,
+    /// microseconds (`goggles_request_latency_us`); `latency.sum` is the
+    /// total latency.
+    pub latency: HistogramSnapshot,
     /// Distribution of executed micro-batch sizes (same power-of-two
     /// buckets as `latency`; sizes are small, so the low buckets carry it).
-    pub batch_size: LatencyHistogram,
+    pub batch_size: HistogramSnapshot,
 }
 
 impl ServiceStats {
@@ -277,21 +202,20 @@ impl ServiceStats {
 
     /// Mean request latency in microseconds.
     pub fn mean_latency_us(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.total_latency_us as f64 / self.requests as f64
+        match self.latency.total() {
+            0 => 0.0,
+            n => self.latency.sum as f64 / n as f64,
         }
     }
 
     /// Median request latency in microseconds (bucket upper bound).
     pub fn p50_latency_us(&self) -> u64 {
-        self.latency.percentile_us(0.50)
+        self.latency.quantile_upper(0.50)
     }
 
     /// 99th-percentile request latency in microseconds (bucket upper bound).
     pub fn p99_latency_us(&self) -> u64 {
-        self.latency.percentile_us(0.99)
+        self.latency.quantile_upper(0.99)
     }
 }
 
@@ -299,25 +223,19 @@ impl ServiceStats {
 /// observability registry by [`LabelService::stage_stats`]. Embed,
 /// affinity and endmodel are **whole-batch** durations (one observation per
 /// batch); queue wait is per-request; batch assembly is per-drain.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-// goggles-lint: allow(dead-pub): field type of the pub ServiceStats; reached through inference
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+// goggles-lint: allow(dead-pub): return type of pub LabelService::stage_stats; reached through inference
 pub struct StageStats {
     /// Time requests sat queued before being drained into a batch.
-    pub queue_wait: LatencyHistogram,
+    pub queue_wait: HistogramSnapshot,
     /// Linger + drain time spent assembling each batch.
-    pub batch_assembly: LatencyHistogram,
+    pub batch_assembly: HistogramSnapshot,
     /// Backbone forward (im2col/GEMM trunk), per batch.
-    pub embed: LatencyHistogram,
+    pub embed: HistogramSnapshot,
     /// Affinity rows against the prototype bank (colmax), per batch.
-    pub affinity: LatencyHistogram,
+    pub affinity: HistogramSnapshot,
     /// Base-GMM posteriors + ensemble fold-in + mapping, per batch.
-    pub endmodel: LatencyHistogram,
-}
-
-/// Copy an obs histogram snapshot into the serving crate's histogram type —
-/// both use the same 32 power-of-two buckets, so this is bucket-for-bucket.
-fn latency_from_obs(snap: &goggles_obs::HistogramSnapshot) -> LatencyHistogram {
-    LatencyHistogram { counts: snap.counts }
+    pub endmodel: HistogramSnapshot,
 }
 
 struct Request {
@@ -334,53 +252,11 @@ struct Request {
     respond: mpsc::Sender<ServeResult<LabelResponse>>,
 }
 
-#[derive(Default)]
-struct Counters {
-    requests: AtomicU64,
-    batches: AtomicU64,
-    images: AtomicU64,
-    total_latency_us: AtomicU64,
-    max_latency_us: AtomicU64,
-    failed_batches: AtomicU64,
-    failed_requests: AtomicU64,
-    deadline_expired: AtomicU64,
-    cancelled: AtomicU64,
-    shed: AtomicU64,
-    worker_restarts: AtomicU64,
-    queue_depth: AtomicU64,
-}
-
-/// Histogram buckets owned by one worker thread. Each worker bumps only its
-/// own shard (no cross-worker cache-line ping-pong on the latency path);
-/// [`LabelService::stats`] merges the shards with
-/// [`LatencyHistogram::merge`].
-#[derive(Default)]
-struct WorkerShard {
-    latency_buckets: [AtomicU64; LATENCY_BUCKETS],
-    batch_size_buckets: [AtomicU64; LATENCY_BUCKETS],
-}
-
-impl WorkerShard {
-    fn latency(&self) -> LatencyHistogram {
-        let mut h = LatencyHistogram::default();
-        for (count, b) in h.counts.iter_mut().zip(self.latency_buckets.iter()) {
-            *count = b.load(Ordering::Relaxed);
-        }
-        h
-    }
-
-    fn batch_size(&self) -> LatencyHistogram {
-        let mut h = LatencyHistogram::default();
-        for (count, b) in h.counts.iter_mut().zip(self.batch_size_buckets.iter()) {
-            *count = b.load(Ordering::Relaxed);
-        }
-        h
-    }
-}
-
 /// Cached handles into this service's observability registry, resolved once
 /// at spawn so every hot-path recording is a relaxed atomic add — no lock,
-/// no lookup, no allocation.
+/// no lookup, no allocation. These handles are the service's only
+/// accounting: [`LabelService::stats`] and [`LabelService::stage_stats`]
+/// read them back.
 pub(crate) struct ServeMetrics {
     registry: Arc<goggles_obs::Registry>,
     stage_queue_wait: goggles_obs::Histogram,
@@ -399,6 +275,7 @@ pub(crate) struct ServeMetrics {
     batches_total: goggles_obs::Counter,
     batches_failed: goggles_obs::Counter,
     queue_depth: goggles_obs::Gauge,
+    request_latency: goggles_obs::Histogram,
     batch_size: goggles_obs::Histogram,
     trace: goggles_obs::TraceRing,
 }
@@ -442,6 +319,11 @@ impl ServeMetrics {
             queue_depth: registry.gauge(
                 "goggles_queue_depth",
                 "Requests currently queued (not yet drained into a batch)",
+                &[],
+            ),
+            request_latency: registry.histogram(
+                "goggles_request_latency_us",
+                "Queue+service latency of answered requests in microseconds",
                 &[],
             ),
             batch_size: registry.histogram("goggles_batch_size", "Executed micro-batch sizes", &[]),
@@ -529,9 +411,6 @@ struct Shared {
     /// Versioned labelers; workers resolve the current one per batch.
     registry: Arc<SnapshotRegistry>,
     config: ServeConfig,
-    counters: Counters,
-    /// Per-worker histogram shards, indexed by worker id.
-    shards: Vec<WorkerShard>,
     /// Cached observability handles (shared with the wire server's
     /// encode/decode spans).
     metrics: Arc<ServeMetrics>,
@@ -570,15 +449,12 @@ impl LabelService {
             crate::fault::install(plan);
         }
         let metrics = Arc::new(ServeMetrics::new(&registry, config.trace_capacity));
-        let shards = (0..config.workers).map(|_| WorkerShard::default()).collect();
         let shared = Arc::new(Shared {
             state: Mutex::new(QueueState { queue: VecDeque::new(), shutting_down: false }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             registry,
             config: config.clone(),
-            counters: Counters::default(),
-            shards,
             metrics,
         });
         let workers = (0..config.workers)
@@ -616,7 +492,6 @@ impl LabelService {
     ) -> ServeResult<Ticket> {
         let image = image.into();
         if deadline.is_some_and(|d| Instant::now() >= d) {
-            self.shared.counters.deadline_expired.fetch_add(1, Ordering::Relaxed);
             self.shared.metrics.requests_deadline.inc();
             return Ok(Ticket::ready(Err(ServeError::Deadline)));
         }
@@ -630,7 +505,6 @@ impl LabelService {
         let watermark = self.shared.config.shed_watermark;
         if watermark > 0 && state.queue.len() >= watermark {
             drop(state);
-            self.shared.counters.shed.fetch_add(1, Ordering::Relaxed);
             self.shared.metrics.requests_shed.inc();
             return Err(ServeError::Overloaded);
         }
@@ -650,7 +524,6 @@ impl LabelService {
             cancel: Arc::clone(&cancel),
             respond: tx,
         });
-        self.shared.counters.queue_depth.fetch_add(1, Ordering::Relaxed);
         self.shared.metrics.queue_depth.add(1);
         self.shared.not_empty.notify_one();
         Ok(Ticket::pending(rx, Some(cancel)))
@@ -672,46 +545,38 @@ impl LabelService {
         tickets.into_iter().map(Ticket::wait).collect()
     }
 
-    /// Snapshot of the service counters. Histograms are merged from the
-    /// per-worker shards bucket-by-bucket (`LatencyHistogram::merge`).
+    /// Snapshot of the service counters, read from the same registry
+    /// handles that [`LabelService::render_metrics`] exports.
     pub fn stats(&self) -> ServiceStats {
-        let c = &self.shared.counters;
-        let mut latency = LatencyHistogram::default();
-        let mut batch_size = LatencyHistogram::default();
-        for shard in &self.shared.shards {
-            latency.merge(&shard.latency());
-            batch_size.merge(&shard.batch_size());
-        }
+        let m = &self.shared.metrics;
+        let requests = m.requests_ok.get();
         ServiceStats {
-            requests: c.requests.load(Ordering::Relaxed),
-            batches: c.batches.load(Ordering::Relaxed),
-            images: c.images.load(Ordering::Relaxed),
-            total_latency_us: c.total_latency_us.load(Ordering::Relaxed),
-            max_latency_us: c.max_latency_us.load(Ordering::Relaxed),
-            failed_batches: c.failed_batches.load(Ordering::Relaxed),
-            failed_requests: c.failed_requests.load(Ordering::Relaxed),
-            deadline_expired: c.deadline_expired.load(Ordering::Relaxed),
-            cancelled: c.cancelled.load(Ordering::Relaxed),
-            shed: c.shed.load(Ordering::Relaxed),
-            worker_restarts: c.worker_restarts.load(Ordering::Relaxed),
-            queue_depth: c.queue_depth.load(Ordering::Relaxed),
-            latency,
-            batch_size,
+            requests,
+            batches: m.batches_total.get(),
+            images: requests,
+            failed_batches: m.batches_failed.get(),
+            failed_requests: m.requests_failed.get(),
+            deadline_expired: m.requests_deadline.get(),
+            cancelled: m.requests_cancelled.get(),
+            shed: m.requests_shed.get(),
+            worker_restarts: m.worker_restarts.get(),
+            queue_depth: u64::try_from(m.queue_depth.get()).unwrap_or(0),
+            latency: m.request_latency.snapshot(),
+            batch_size: m.batch_size.snapshot(),
         }
     }
 
     /// Per-stage latency distributions of the serving path (whole-batch
     /// durations for embed/affinity/endmodel, per-request for queue wait,
-    /// per-drain for batch assembly). Converted from the observability
-    /// registry's histograms — the bucket schemes are identical.
+    /// per-drain for batch assembly), read from the observability registry.
     pub fn stage_stats(&self) -> StageStats {
         let m = &self.shared.metrics;
         StageStats {
-            queue_wait: latency_from_obs(&m.stage_queue_wait.snapshot()),
-            batch_assembly: latency_from_obs(&m.stage_batch_assembly.snapshot()),
-            embed: latency_from_obs(&m.stage_embed.snapshot()),
-            affinity: latency_from_obs(&m.stage_affinity.snapshot()),
-            endmodel: latency_from_obs(&m.stage_endmodel.snapshot()),
+            queue_wait: m.stage_queue_wait.snapshot(),
+            batch_assembly: m.stage_batch_assembly.snapshot(),
+            embed: m.stage_embed.snapshot(),
+            affinity: m.stage_affinity.snapshot(),
+            endmodel: m.stage_endmodel.snapshot(),
         }
     }
 
@@ -741,7 +606,6 @@ impl LabelService {
     /// the `result="shed"` metric count every shed regardless of which
     /// layer refused it.
     pub(crate) fn record_shed(&self) {
-        self.shared.counters.shed.fetch_add(1, Ordering::Relaxed);
         self.shared.metrics.requests_shed.inc();
     }
 
@@ -824,7 +688,7 @@ impl Labeler for LabelService {
 fn worker_main(shared: &Shared, worker: usize) {
     loop {
         let outcome =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker_loop(shared, worker)));
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker_loop(shared)));
         match outcome {
             // Clean return: shutdown drained the queue; the pool winds down.
             Ok(()) => return,
@@ -835,7 +699,6 @@ fn worker_main(shared: &Shared, worker: usize) {
                     .map(|s| (*s).to_string())
                     .or_else(|| panic.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "non-string panic payload".into());
-                shared.counters.worker_restarts.fetch_add(1, Ordering::Relaxed);
                 shared.metrics.worker_restarts.inc();
                 goggles_obs::log::warn(
                     "serve",
@@ -850,17 +713,11 @@ fn worker_main(shared: &Shared, worker: usize) {
     }
 }
 
-fn worker_loop(shared: &Shared, worker: usize) {
+fn worker_loop(shared: &Shared) {
     // One embedding scratch arena per worker, held across requests: the
     // backbone's im2col/GEMM/activation buffers grow once and every
     // subsequent batch embeds allocation-free (outputs aside).
     let mut scratch = EmbedScratch::new();
-    let Some(shard) = shared.shards.get(worker) else {
-        // One shard is allocated per worker index at spawn; a missing shard
-        // would be a construction bug, and a dead worker is the loudest
-        // recoverable signal.
-        return;
-    };
     loop {
         let batch = match next_batch(shared) {
             Some(batch) => batch,
@@ -870,7 +727,7 @@ fn worker_loop(shared: &Shared, worker: usize) {
         // panic here escapes to the watchdog, exercising the respawn path
         // (the held batch unwinds → its tickets resolve Closed).
         crate::fault::maybe_panic("worker.batch");
-        run_batch(shared, shard, &mut scratch, batch);
+        run_batch(shared, &mut scratch, batch);
     }
 }
 
@@ -938,7 +795,6 @@ fn next_batch(shared: &Shared) -> Option<Vec<Request>> {
         }
         drop(state);
         let m = &shared.metrics;
-        shared.counters.queue_depth.fetch_sub(take as u64, Ordering::Relaxed);
         m.queue_depth.sub(take as i64);
         // Queue wait of every request that made it into the batch, plus the
         // assembly (linger + drain) cost of the batch itself.
@@ -951,11 +807,9 @@ fn next_batch(shared: &Shared) -> Option<Vec<Request>> {
             m.trace.push("batch_assembly", assembly_us, batch.len() as u64);
         }
         if cancelled > 0 {
-            shared.counters.cancelled.fetch_add(cancelled, Ordering::Relaxed);
             m.requests_cancelled.add(cancelled);
         }
         if !expired.is_empty() {
-            shared.counters.deadline_expired.fetch_add(expired.len() as u64, Ordering::Relaxed);
             m.requests_deadline.add(expired.len() as u64);
             for request in expired {
                 let _ = request.respond.send(Err(ServeError::Deadline));
@@ -970,12 +824,7 @@ fn next_batch(shared: &Shared) -> Option<Vec<Request>> {
     }
 }
 
-fn run_batch(
-    shared: &Shared,
-    shard: &WorkerShard,
-    scratch: &mut EmbedScratch,
-    batch: Vec<Request>,
-) {
+fn run_batch(shared: &Shared, scratch: &mut EmbedScratch, batch: Vec<Request>) {
     // Resolve the current snapshot once per batch: the lease pins the
     // version for this batch's whole lifetime (labeling + responses), while
     // a concurrent publish/rollback is picked up by the next batch. No
@@ -1006,13 +855,12 @@ fn run_batch(
                     ("panic", goggles_obs::Value::from(msg)),
                 ],
             );
-            shared.counters.failed_batches.fetch_add(1, Ordering::Relaxed);
             shared.metrics.batches_failed.inc();
             // A panicked embed may have left the arena buffers at any size;
             // they stay valid (growth-only), but retry with a fresh scratch
             // out of caution.
             *scratch = EmbedScratch::new();
-            salvage_batch(shared, shard, &lease, batch);
+            salvage_batch(shared, &lease, batch);
             return;
         }
     };
@@ -1026,7 +874,7 @@ fn run_batch(
         m.trace.push("affinity", timing.affinity_us, n);
         m.trace.push("endmodel", timing.endmodel_us, n);
     }
-    respond(shared, shard, &lease, &batch, &labels);
+    respond(shared, &lease, &batch, &labels);
 }
 
 /// A poisoned batch panicked the labeler. Retry each member individually on
@@ -1035,14 +883,8 @@ fn run_batch(
 /// [`ServeError::Closed`]) and counted in
 /// [`ServiceStats::failed_requests`]. A singleton batch *is* its own
 /// poison — no retry, it would only panic again.
-fn salvage_batch(
-    shared: &Shared,
-    shard: &WorkerShard,
-    lease: &PublishedSnapshot,
-    batch: Vec<Request>,
-) {
+fn salvage_batch(shared: &Shared, lease: &PublishedSnapshot, batch: Vec<Request>) {
     if batch.len() <= 1 {
-        shared.counters.failed_requests.fetch_add(batch.len() as u64, Ordering::Relaxed);
         shared.metrics.requests_failed.add(batch.len() as u64);
         for request in batch {
             let _ = request.respond.send(Err(ServeError::Closed));
@@ -1054,9 +896,8 @@ fn salvage_batch(
             lease.labeler().label_batch(&[request.image.as_ref()], shared.config.embed_threads)
         }));
         match outcome {
-            Ok(labels) => respond(shared, shard, lease, std::slice::from_ref(&request), &labels),
+            Ok(labels) => respond(shared, lease, std::slice::from_ref(&request), &labels),
             Err(_) => {
-                shared.counters.failed_requests.fetch_add(1, Ordering::Relaxed);
                 shared.metrics.requests_failed.inc();
                 let _ = request.respond.send(Err(ServeError::Closed));
             }
@@ -1068,39 +909,22 @@ fn salvage_batch(
 /// requests (`labels` row `i` answers `batch[i]`).
 fn respond(
     shared: &Shared,
-    shard: &WorkerShard,
     lease: &PublishedSnapshot,
     batch: &[Request],
     labels: &ProbabilisticLabels,
 ) {
     let done = Instant::now();
-    let mut total_us = 0u64;
-    let mut max_us = 0u64;
-    let c = &shared.counters;
     let m = &shared.metrics;
     for request in batch {
-        let us = done.duration_since(request.enqueued).as_micros() as u64;
-        total_us += us;
-        max_us = max_us.max(us);
-        if let Some(bucket) = shard.latency_buckets.get(LatencyHistogram::bucket_index(us)) {
-            bucket.fetch_add(1, Ordering::Relaxed);
-        }
+        m.request_latency.observe(done.duration_since(request.enqueued).as_micros() as u64);
     }
-    if let Some(bucket) =
-        shard.batch_size_buckets.get(LatencyHistogram::bucket_index(batch.len() as u64))
-    {
-        bucket.fetch_add(1, Ordering::Relaxed);
-    }
+    // The counters are bumped *before* the responses go out, and the response
+    // channel's send/receive orders these relaxed adds before the client
+    // wakes, so a client that observed its answer also observes its request
+    // in `stats()`.
     m.batch_size.observe(batch.len() as u64);
     m.requests_ok.add(batch.len() as u64);
     m.batches_total.inc();
-    // Counters are bumped *before* the responses go out, so a client that
-    // observed its answer also observes its request in `stats()`.
-    c.requests.fetch_add(batch.len() as u64, Ordering::Relaxed);
-    c.images.fetch_add(batch.len() as u64, Ordering::Relaxed);
-    c.batches.fetch_add(1, Ordering::Relaxed);
-    c.total_latency_us.fetch_add(total_us, Ordering::Relaxed);
-    c.max_latency_us.fetch_max(max_us, Ordering::Relaxed);
     lease.record_served(batch.len() as u64);
     for (i, request) in batch.iter().enumerate() {
         // goggles-lint: allow(alloc-hot): each response owns its probability row — the copy *is* the handoff to the waiting client
@@ -1172,7 +996,8 @@ mod tests {
         let stats = service.stats();
         assert_eq!(stats.requests, ds.test_indices.len() as u64);
         assert!(stats.batches >= 1);
-        assert!(stats.max_latency_us > 0);
+        assert_eq!(stats.latency.total(), stats.requests);
+        assert!(stats.latency.sum > 0);
     }
 
     #[test]
@@ -1418,34 +1243,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_and_percentiles() {
-        assert_eq!(LatencyHistogram::bucket_index(0), 0);
-        assert_eq!(LatencyHistogram::bucket_index(1), 0);
-        assert_eq!(LatencyHistogram::bucket_index(2), 1);
-        assert_eq!(LatencyHistogram::bucket_index(3), 1);
-        assert_eq!(LatencyHistogram::bucket_index(1024), 10);
-        assert_eq!(LatencyHistogram::bucket_index(u64::MAX), LATENCY_BUCKETS - 1);
-        assert_eq!(LatencyHistogram::bucket_upper_us(0), 2);
-        assert_eq!(LatencyHistogram::bucket_upper_us(10), 2048);
-        assert_eq!(LatencyHistogram::bucket_upper_us(LATENCY_BUCKETS - 1), u64::MAX);
-
-        let mut h = LatencyHistogram::default();
-        assert_eq!(h.percentile_us(0.5), 0, "empty histogram");
-        // 98 fast requests (~100 µs), 2 slow ones (~100 ms): p50 must stay
-        // in the fast bucket, p99 must reach the slow one.
-        for _ in 0..98 {
-            h.record(100);
-        }
-        h.record(100_000);
-        h.record(100_000);
-        assert_eq!(h.total(), 100);
-        assert_eq!(h.percentile_us(0.50), 128);
-        assert_eq!(h.percentile_us(0.98), 128);
-        assert_eq!(h.percentile_us(0.99), 131_072);
-        assert_eq!(h.percentile_us(1.0), 131_072);
-    }
-
-    #[test]
     fn expired_deadline_is_answered_without_labeling() {
         // Already-expired at submission: resolved immediately, no queue
         // slot, no labeling — `requests` stays 0, `deadline_expired` counts.
@@ -1549,30 +1346,6 @@ mod tests {
     }
 
     #[test]
-    fn latency_histogram_merge_is_bucket_exact() {
-        // stats() folds the per-worker shards with merge(); every bucket of
-        // the merged histogram must be the exact sum of the inputs.
-        let mut a = LatencyHistogram::default();
-        let mut b = LatencyHistogram::default();
-        for us in [0, 1, 2, 3, 100, 100, 1024, 1_000_000] {
-            a.record(us);
-        }
-        for us in [1, 2, 100, 65_536, u64::MAX] {
-            b.record(us);
-        }
-        let mut merged = a;
-        merged.merge(&b);
-        for i in 0..LATENCY_BUCKETS {
-            assert_eq!(merged.counts[i], a.counts[i] + b.counts[i], "bucket {i}");
-        }
-        assert_eq!(merged.total(), a.total() + b.total());
-        // merging an empty histogram is the identity
-        let mut unchanged = merged;
-        unchanged.merge(&LatencyHistogram::default());
-        assert_eq!(unchanged, merged);
-    }
-
-    #[test]
     fn stats_expose_queue_depth_and_batch_size_distribution() {
         // One worker and a long linger: submissions sit in the queue, so
         // the live depth gauge is observable before the drain.
@@ -1600,9 +1373,9 @@ mod tests {
             stats.batches,
             "one batch-size sample per executed batch"
         );
-        // both requests shared one batch of 2 → bucket_index(2) = 1
+        // both requests shared one batch of 2
         assert_eq!(stats.batches, 1);
-        assert_eq!(stats.batch_size.counts[LatencyHistogram::bucket_index(2)], 1);
+        assert_eq!(stats.batch_size.counts[goggles_obs::bucket_index(2)], 1);
     }
 
     #[test]
@@ -1625,6 +1398,7 @@ mod tests {
             "goggles_queue_depth",
             "goggles_batch_size",
             "goggles_batches_total",
+            "goggles_request_latency_us",
             "goggles_gemm_calls_total",
             "goggles_backbone_flops_per_image",
         ] {
@@ -1641,7 +1415,13 @@ mod tests {
         assert_eq!(stages.embed.total(), stages.affinity.total());
         assert_eq!(stages.embed.total(), stages.endmodel.total());
         assert!(stages.embed.total() >= 1);
-        assert!(stages.embed.percentile_us(0.5) > 0);
+        assert!(stages.embed.quantile_upper(0.5) > 0);
+        // stats() reads the exported families, so the two always agree
+        let stats = service.stats();
+        assert_eq!(stats.requests, 3);
+        assert!(text.contains(&format!("goggles_batches_total {}", stats.batches)));
+        assert!(text.contains("goggles_request_latency_us_count 3"));
+        assert!(text.contains(&format!("goggles_request_latency_us_sum {}", stats.latency.sum)));
     }
 
     #[test]

@@ -23,12 +23,13 @@
 //! on one connection and match replies by id.
 //!
 //! The operation set mirrors the serving control plane: label (image +
-//! optional deadline budget), stats, hot-reload, shutdown, and a metrics
-//! dump (the full observability registry as Prometheus text).
+//! optional deadline budget), hot-reload, shutdown, training ingest, and a
+//! metrics dump (the full observability registry as Prometheus text, which
+//! carries every service counter).
 
 use crate::codec::{fnv1a, Reader, Writer};
 use crate::fault;
-use crate::service::{LabelResponse, LatencyHistogram, ServiceStats};
+use crate::service::LabelResponse;
 use crate::{ServeError, ServeResult};
 use goggles_tensor::Tensor3;
 use goggles_vision::Image;
@@ -54,7 +55,10 @@ pub(crate) const MAX_IMAGE_DIM: usize = 1 << 14;
 pub(crate) const MAX_IMAGE_CHANNELS: usize = 64;
 
 /// Frame opcodes. Requests flow client → server, replies server → client;
-/// [`Opcode::ErrorReply`] answers any request that failed.
+/// [`Opcode::ErrorReply`] answers any request that failed. Bytes 4 and 5
+/// belonged to a retired stats pair: they are rejected like any unknown
+/// opcode and must not be reused, so a client built against the old pair
+/// gets a protocol error instead of a different operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Opcode {
@@ -64,10 +68,6 @@ pub enum Opcode {
     LabelReply = 2,
     /// Error code + message, echoing the failed request's id.
     ErrorReply = 3,
-    /// Ask for the service counters → [`Opcode::StatsReply`].
-    StatsRequest = 4,
-    /// Full [`ServiceStats`] (histogram included) + current version.
-    StatsReply = 5,
     /// Server-side snapshot path to hot-reload → [`Opcode::ReloadReply`].
     ReloadRequest = 6,
     /// Version number the reload published.
@@ -96,8 +96,6 @@ impl Opcode {
             1 => Opcode::LabelRequest,
             2 => Opcode::LabelReply,
             3 => Opcode::ErrorReply,
-            4 => Opcode::StatsRequest,
-            5 => Opcode::StatsReply,
             6 => Opcode::ReloadRequest,
             7 => Opcode::ReloadReply,
             8 => Opcode::ShutdownRequest,
@@ -454,76 +452,6 @@ pub fn decode_error_reply(payload: &[u8]) -> ServeResult<ServeError> {
     Ok(decoded)
 }
 
-/// What [`Opcode::StatsReply`] carries: the server's full counter snapshot
-/// (histogram included, so the client can derive any percentile) plus the
-/// registry version currently serving.
-#[derive(Debug, Clone, Copy, PartialEq)]
-// goggles-lint: allow(dead-pub): return type of pub RemoteLabeler::stats; external callers reach it through inference
-pub struct RemoteStats {
-    /// Counter snapshot of the remote service.
-    pub stats: ServiceStats,
-    /// Version new batches currently resolve on the server.
-    pub version: u64,
-}
-
-/// Encode a [`RemoteStats`] for [`Opcode::StatsReply`].
-pub(crate) fn encode_stats_reply(remote: &RemoteStats) -> Vec<u8> {
-    let s = &remote.stats;
-    let mut w = Writer::new();
-    w.put_u64(remote.version);
-    w.put_u64(s.requests);
-    w.put_u64(s.batches);
-    w.put_u64(s.images);
-    w.put_u64(s.total_latency_us);
-    w.put_u64(s.max_latency_us);
-    w.put_u64(s.failed_batches);
-    w.put_u64(s.failed_requests);
-    w.put_u64(s.deadline_expired);
-    w.put_u64(s.cancelled);
-    w.put_u64(s.shed);
-    w.put_u64(s.worker_restarts);
-    w.put_u64(s.queue_depth);
-    for &count in &s.latency.counts {
-        w.put_u64(count);
-    }
-    for &count in &s.batch_size.counts {
-        w.put_u64(count);
-    }
-    w.into_bytes()
-}
-
-/// Decode an [`Opcode::StatsReply`] payload.
-pub fn decode_stats_reply(payload: &[u8]) -> ServeResult<RemoteStats> {
-    let mut r = Reader::new(payload);
-    let version = r.get_u64().map_err(wire_err)?;
-    let mut stats = ServiceStats {
-        requests: r.get_u64().map_err(wire_err)?,
-        batches: r.get_u64().map_err(wire_err)?,
-        images: r.get_u64().map_err(wire_err)?,
-        total_latency_us: r.get_u64().map_err(wire_err)?,
-        max_latency_us: r.get_u64().map_err(wire_err)?,
-        failed_batches: r.get_u64().map_err(wire_err)?,
-        failed_requests: r.get_u64().map_err(wire_err)?,
-        deadline_expired: r.get_u64().map_err(wire_err)?,
-        cancelled: r.get_u64().map_err(wire_err)?,
-        shed: r.get_u64().map_err(wire_err)?,
-        worker_restarts: r.get_u64().map_err(wire_err)?,
-        queue_depth: r.get_u64().map_err(wire_err)?,
-        latency: LatencyHistogram::default(),
-        batch_size: LatencyHistogram::default(),
-    };
-    for count in stats.latency.counts.iter_mut() {
-        *count = r.get_u64().map_err(wire_err)?;
-    }
-    for count in stats.batch_size.counts.iter_mut() {
-        *count = r.get_u64().map_err(wire_err)?;
-    }
-    if r.remaining() != 0 {
-        return Err(ServeError::Wire("trailing bytes after stats reply".into()));
-    }
-    Ok(RemoteStats { stats, version })
-}
-
 /// Encode a registry dump (Prometheus text) for [`Opcode::MetricsReply`].
 /// The text is length-prefixed UTF-8, same convention as every string on
 /// this wire.
@@ -675,12 +603,12 @@ mod tests {
 
         // the same bytes through the streaming reader, twice in a row
         let mut doubled = bytes.clone();
-        doubled.extend_from_slice(&encode_frame(Opcode::StatsRequest, 7, &[]));
+        doubled.extend_from_slice(&encode_frame(Opcode::MetricsRequest, 7, &[]));
         let mut cursor = std::io::Cursor::new(doubled);
         let a = read_frame(&mut cursor).unwrap().unwrap();
         assert_eq!(a.request_id, 42);
         let b = read_frame(&mut cursor).unwrap().unwrap();
-        assert_eq!(b.opcode, Opcode::StatsRequest);
+        assert_eq!(b.opcode, Opcode::MetricsRequest);
         assert!(read_frame(&mut cursor).unwrap().is_none(), "clean EOF between frames");
     }
 
@@ -715,7 +643,7 @@ mod tests {
 
     #[test]
     fn oversized_lengths_are_rejected_before_allocation() {
-        let mut bytes = encode_frame(Opcode::StatsRequest, 1, &[]);
+        let mut bytes = encode_frame(Opcode::MetricsRequest, 1, &[]);
         bytes[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
         match decode_frame(&bytes) {
             Err(ServeError::Wire(msg)) => assert!(msg.contains("implausible"), "{msg}"),
@@ -805,21 +733,6 @@ mod tests {
         let mut lie = encode_error_reply(&ServeError::Closed);
         lie[1] = 2;
         assert!(decode_error_reply(&lie).is_err(), "out-of-range flag byte");
-    }
-
-    #[test]
-    fn stats_reply_round_trips_with_histogram() {
-        let mut stats = ServiceStats { requests: 10, batches: 3, images: 10, ..Default::default() };
-        stats.latency.record(100);
-        stats.latency.record(90_000);
-        let remote = RemoteStats { stats, version: 4 };
-        let decoded = decode_stats_reply(&encode_stats_reply(&remote)).unwrap();
-        assert_eq!(decoded, remote);
-        assert_eq!(decoded.stats.latency.total(), 2);
-        let payload = encode_stats_reply(&remote);
-        for cut in 0..payload.len() {
-            assert!(decode_stats_reply(&payload[..cut]).is_err(), "cut {cut}");
-        }
     }
 
     #[test]

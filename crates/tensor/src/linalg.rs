@@ -1087,8 +1087,8 @@ mod tests {
         let b = vec![1.0f32; k * n];
         let mut out = vec![0.0f32; m * n];
         gemm_f32(&mut GemmScratch::default(), &a, &b, m, k, n, &mut out);
-        // Counters are process-global and tests run in parallel, so assert
-        // monotone growth by at least this call's contribution.
+        // The call counters are process-global and tests run in parallel, so
+        // assert monotone growth by at least this call's contribution.
         assert!(gemm_call_count() > calls_before);
         assert!(gemm_flop_count() >= flops_before + 2 * (m * k * n) as u64);
         // Empty products are not counted.

@@ -92,9 +92,10 @@ fn served_binary_speaks_the_wire_protocol_and_shuts_down_cleanly() {
         assert_eq!(resp.probs, expected_probs, "image {i}: must be bit-identical");
         assert_eq!(resp.version, 1, "image {i}");
     }
-    let stats = client.stats().expect("remote stats");
-    assert_eq!(stats.stats.requests, images.len() as u64);
-    assert_eq!(stats.version, 1);
+    let remote = client.metrics().expect("remote metrics");
+    let requests = scrape_value(&remote, "goggles_requests_total{result=\"ok\"}");
+    assert_eq!(requests, Some(images.len() as f64), "remote request count:\n{remote}");
+    assert_eq!(scrape_value(&remote, "goggles_snapshot_version"), Some(1.0));
 
     // --- scrape the HTTP metrics front -------------------------------
     let body = http_get_metrics(&metrics_addr);
@@ -200,6 +201,15 @@ fn served_binary_healthz_flips_during_drain() {
         .expect("server did not exit after the drain");
     assert!(status.success(), "server exited with {status:?}");
     reader.join().expect("stdout reader");
+}
+
+/// Pull the value of one series (the family name plus its label block as
+/// rendered) out of a Prometheus text exposition.
+fn scrape_value(text: &str, series: &str) -> Option<f64> {
+    text.lines()
+        .find(|l| l.split_whitespace().next() == Some(series))
+        .and_then(|l| l.split_whitespace().nth(1))
+        .and_then(|v| v.parse().ok())
 }
 
 /// Raw HTTP/1.0 `GET /metrics` against the binary's scrape endpoint; the

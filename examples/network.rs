@@ -94,16 +94,19 @@ fn main() {
     assert_eq!(post_swap.version, version, "next answer serves the reloaded version");
     println!("hot-reloaded over the wire as version {version}");
 
-    // ---- 6. remote stats + clean shutdown ------------------------------
-    let remote_stats = client.stats().expect("stats failed");
-    println!(
-        "server stats: {} requests, mean batch {:.1}, p50 {} µs, p99 {} µs (version {})",
-        remote_stats.stats.requests,
-        remote_stats.stats.mean_batch_size(),
-        remote_stats.stats.p50_latency_us(),
-        remote_stats.stats.p99_latency_us(),
-        remote_stats.version,
-    );
+    // ---- 6. remote metrics + clean shutdown ----------------------------
+    // The metrics op ships the server's Prometheus text; every service
+    // counter and the serving version are in it.
+    let metrics = client.metrics().expect("metrics scrape failed");
+    let wanted = [
+        "goggles_requests_total{",
+        "goggles_batches_total ",
+        "goggles_request_latency_us_count ",
+        "goggles_snapshot_version ",
+    ];
+    for line in metrics.lines().filter(|l| wanted.iter().any(|w| l.starts_with(w))) {
+        println!("server metric: {line}");
+    }
     client.shutdown_server().expect("shutdown op failed");
     drop(client);
     server.wait();

@@ -50,12 +50,27 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Read the scale from `GOGGLES_SCALE` (default [`Scale::Standard`]).
+    /// Read the scale from `GOGGLES_SCALE` (unset or empty:
+    /// [`Scale::Standard`]).
+    ///
+    /// # Panics
+    /// On any other value than `quick`, `standard` or `paper` (any case),
+    /// so a typo in a smoke run cannot silently become a standard-scale run.
     pub fn from_env() -> Self {
-        match std::env::var("GOGGLES_SCALE").unwrap_or_default().to_lowercase().as_str() {
+        match std::env::var("GOGGLES_SCALE") {
+            Ok(name) => Self::from_name(&name),
+            Err(std::env::VarError::NotPresent) => Scale::Standard,
+            Err(e) => panic!("GOGGLES_SCALE is unreadable ({e}); expected quick|standard|paper"),
+        }
+    }
+
+    /// Parse a `GOGGLES_SCALE` value; see [`Scale::from_env`].
+    fn from_name(name: &str) -> Self {
+        match name.trim().to_lowercase().as_str() {
             "quick" => Scale::Quick,
+            "" | "standard" => Scale::Standard,
             "paper" => Scale::Paper,
-            _ => Scale::Standard,
+            other => panic!("unknown GOGGLES_SCALE {other:?}; expected quick|standard|paper"),
         }
     }
 
@@ -272,6 +287,20 @@ impl TrialContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scale_names_parse_and_empty_means_standard() {
+        assert_eq!(Scale::from_name("quick"), Scale::Quick);
+        assert_eq!(Scale::from_name("Standard"), Scale::Standard);
+        assert_eq!(Scale::from_name("PAPER"), Scale::Paper);
+        assert_eq!(Scale::from_name(""), Scale::Standard);
+    }
+
+    #[test]
+    #[should_panic(expected = "expected quick|standard|paper")]
+    fn unknown_scale_name_panics() {
+        let _ = Scale::from_name("quikc");
+    }
 
     #[test]
     fn scales_have_increasing_cost() {

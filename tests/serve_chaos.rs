@@ -45,9 +45,16 @@ mod chaos {
         PlanGuard
     }
 
+    /// `GOGGLES_CHAOS_SEED`, or 42 when unset. A value that does not parse
+    /// panics: a typo must not quietly rerun the default seed.
     fn chaos_seed() -> u64 {
-        let seed =
-            std::env::var("GOGGLES_CHAOS_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(42u64);
+        let seed = match std::env::var("GOGGLES_CHAOS_SEED") {
+            Ok(s) => s.trim().parse().unwrap_or_else(|_| {
+                panic!("GOGGLES_CHAOS_SEED={s:?} is not an unsigned integer seed")
+            }),
+            Err(std::env::VarError::NotPresent) => 42u64,
+            Err(e) => panic!("GOGGLES_CHAOS_SEED is unreadable: {e}"),
+        };
         // Shown on failure: rerun with GOGGLES_CHAOS_SEED=<seed> to repro.
         eprintln!("chaos seed: {seed}");
         seed

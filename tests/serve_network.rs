@@ -70,12 +70,17 @@ fn pipelined_label_all_matches_and_batches() {
         stats.batches,
         stats.requests
     );
-    // The remote stats op reports the same counters (plus the histogram).
-    let remote = client.stats().unwrap();
-    assert_eq!(remote.version, 1);
-    assert_eq!(remote.stats.requests, stats.requests);
-    assert_eq!(remote.stats.latency.total(), stats.requests);
-    assert!(remote.stats.p99_latency_us() >= remote.stats.p50_latency_us());
+    // The remote metrics op reports the same counters (plus the histogram).
+    let remote = client.metrics().unwrap();
+    let value = |family: &str| {
+        scrape_value(&remote, family).unwrap_or_else(|| panic!("{family} missing:\n{remote}"))
+            as u64
+    };
+    assert_eq!(value("goggles_snapshot_version"), 1);
+    assert_eq!(value("goggles_requests_total{result=\"ok\"}"), stats.requests);
+    assert_eq!(value("goggles_batches_total"), stats.batches);
+    assert_eq!(value("goggles_request_latency_us_count"), stats.requests);
+    assert_eq!(value("goggles_request_latency_us_sum"), stats.latency.sum);
 }
 
 #[test]
@@ -163,7 +168,8 @@ fn remote_reload_swaps_versions_under_load_and_prunes_the_registry() {
     std::fs::remove_file(&bad_path).ok();
 }
 
-/// Pull the value of a single-sample family (no labels) out of a
+/// Pull the value of one series (the family name plus its label block as
+/// rendered, e.g. `goggles_requests_total{result="ok"}`) out of a
 /// Prometheus text exposition.
 fn scrape_value(text: &str, family: &str) -> Option<f64> {
     text.lines()

@@ -7,9 +7,9 @@
 use goggles::serve::service::LabelResponse;
 use goggles::serve::wire::{
     decode_error_reply, decode_frame, decode_label_reply, decode_label_request,
-    decode_metrics_reply, decode_reload_reply, decode_reload_request, decode_stats_reply,
-    encode_frame, encode_label_request, encode_metrics_reply, encode_reload_request, read_frame,
-    Opcode, MAX_FRAME_LEN,
+    decode_metrics_reply, decode_reload_reply, decode_reload_request, encode_frame,
+    encode_label_request, encode_metrics_reply, encode_reload_request, read_frame, Opcode,
+    MAX_FRAME_LEN,
 };
 use goggles::serve::ServeError;
 use goggles_vision::Image;
@@ -70,18 +70,21 @@ proptest! {
 
     /// Garbage opcode bytes (re-checksummed so they reach the opcode
     /// check) are rejected, never dispatched. Valid opcodes stop at 13
-    /// (`IngestReply`).
+    /// (`IngestReply`); 4 and 5 (the retired stats pair) are checked on
+    /// every case.
     #[test]
     fn garbage_opcodes_always_err(op in 14u16..256) {
         use goggles::serve::codec::fnv1a;
-        let mut bytes = reference_frame();
-        bytes[8] = op as u8;
-        let n = bytes.len();
-        let c = fnv1a(&bytes[8..n - 8]);
-        bytes[n - 8..].copy_from_slice(&c.to_le_bytes());
-        match decode_frame(&bytes) {
-            Err(ServeError::Wire(msg)) => prop_assert!(msg.contains("opcode"), "{msg}"),
-            other => panic!("expected Wire error, got {other:?}"),
+        for op in [4, 5, op as u8] {
+            let mut bytes = reference_frame();
+            bytes[8] = op;
+            let n = bytes.len();
+            let c = fnv1a(&bytes[8..n - 8]);
+            bytes[n - 8..].copy_from_slice(&c.to_le_bytes());
+            match decode_frame(&bytes) {
+                Err(ServeError::Wire(msg)) => prop_assert!(msg.contains("opcode"), "{op}: {msg}"),
+                other => panic!("expected Wire error for opcode {op}, got {other:?}"),
+            }
         }
     }
 
@@ -100,7 +103,6 @@ proptest! {
             prop_assert!(resp.label < resp.probs.len());
         }
         let _ = decode_error_reply(&bytes);
-        let _ = decode_stats_reply(&bytes);
         let _ = decode_metrics_reply(&bytes);
         let _ = decode_reload_request(&bytes);
         let _ = decode_reload_reply(&bytes);
@@ -112,10 +114,10 @@ proptest! {
     #[test]
     fn frames_round_trip(id in 0u64..u64::MAX, payload in proptest::collection::vec(0u16..256, 0..64)) {
         let payload: Vec<u8> = payload.into_iter().map(|b| b as u8).collect();
-        let bytes = encode_frame(Opcode::StatsReply, id, &payload);
+        let bytes = encode_frame(Opcode::MetricsReply, id, &payload);
         let (frame, consumed) = decode_frame(&bytes).unwrap();
         prop_assert_eq!(consumed, bytes.len());
-        prop_assert_eq!(frame.opcode, Opcode::StatsReply);
+        prop_assert_eq!(frame.opcode, Opcode::MetricsReply);
         prop_assert_eq!(frame.request_id, id);
         prop_assert_eq!(frame.payload, payload);
     }

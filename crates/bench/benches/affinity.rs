@@ -25,24 +25,17 @@ fn main() {
         Err(e) => eprintln!("[warn: could not write {}: {e}]\n", path.display()),
     }
     // Acceptance guardrails of the blocked kernel: it must agree with the
-    // scalar reference within the 1e-5 tolerance everywhere, and with a
-    // real thread budget (≥ 4) a single online request must be at least 2×
-    // faster than the pre-blocking scalar path.
+    // scalar reference within the 1e-5 tolerance everywhere, and a single
+    // online request (one row, one thread) must be at least 2× faster than
+    // the pre-blocking scalar path.
     assert!(
         report.max_abs_diff < 1e-5,
         "blocked kernel disagrees with the scalar reference: {:.3e}",
         report.max_abs_diff
     );
-    // Best blocked configuration (the bench always grants a ≥ 4-thread
-    // budget): on few physical cores, or tiny quick-scale rows, the
-    // 1-thread kernel can beat sharding's fan-out overhead; on real
-    // multicore hardware the sharded path wins. Either way the blocked
-    // rewrite must clear the 2× bar over the pre-blocking scalar path.
-    let best_ms = report.single_blocked_1t_ms.min(report.single_sharded_ms);
-    let best_speedup = if best_ms > 0.0 { report.single_naive_ms / best_ms } else { 0.0 };
     assert!(
-        best_speedup >= 2.0,
-        "single-request speedup {best_speedup:.2}× below the 2× bar on {} threads",
-        report.threads
+        report.single_speedup() >= 2.0,
+        "single-request speedup {:.2}× below the 2× bar",
+        report.single_speedup()
     );
 }

@@ -194,13 +194,14 @@ impl PrototypeBank {
     /// (`row q, column f·N + j = f(query_q, train_j)`). Cost is
     /// `O(m · N)` affinity evaluations — independent of `N²`.
     ///
-    /// Parallelism adapts to the request shape: with `m ≥ threads` queries
-    /// the rows are fanned out across the pool (batch builds), while with
-    /// `m < threads` — the online serving case, typically `m = 1` — each
-    /// row's stacked `n·z` prototype axis is sharded across the pool
-    /// instead, so a single request saturates every core. Both paths run
-    /// the blocked [`goggles_tensor::colmax_matmul_f32`] kernel and produce
-    /// bit-identical output for every thread count.
+    /// `threads` bounds a fan-out over the query rows: one row is never
+    /// split, so with `threads.min(m) ≤ 1` (any single online request) the
+    /// rows are filled serially on the calling thread, and otherwise they
+    /// are cut into `min(threads, m)` contiguous chunks, one scoped worker
+    /// each. Both paths run the blocked
+    /// [`goggles_tensor::colmax_matmul_panel_f32`] kernel over the bank's
+    /// cached panels and produce bit-identical output for every thread
+    /// count.
     pub fn affinity_rows(&self, queries: &[ImageEmbedding], threads: usize) -> Matrix<f64> {
         let m = queries.len();
         let row_len = self.alpha() * self.n;
@@ -209,14 +210,13 @@ impl PrototypeBank {
             return data;
         }
         self.validate_queries(queries);
-        let threads = threads.max(1);
         let (n, z) = (self.n, self.z_per_layer);
-        if threads == 1 {
+        if threads.min(m) <= 1 {
             let mut scratch = RowScratch::default();
             for (q, row) in data.as_mut_slice().chunks_mut(row_len).enumerate() {
                 fill_row(row, &queries[q], &self.stacked, &self.panels, n, z, &mut scratch);
             }
-        } else if m >= threads {
+        } else {
             let chunk = m.div_ceil(threads);
             std::thread::scope(|scope| {
                 for (t, rows_chunk) in data.as_mut_slice().chunks_mut(chunk * row_len).enumerate() {
@@ -241,21 +241,6 @@ impl PrototypeBank {
                     });
                 }
             });
-        } else {
-            // Maxima buffer shared across rows (each pass overwrites it).
-            let mut best = Vec::new();
-            for (q, row) in data.as_mut_slice().chunks_mut(row_len).enumerate() {
-                fill_row_sharded(
-                    row,
-                    &queries[q],
-                    &self.stacked,
-                    &self.panels,
-                    n,
-                    z,
-                    threads,
-                    &mut best,
-                );
-            }
         }
         data
     }
@@ -467,78 +452,9 @@ fn fill_row(
             patches.as_slice(),
             protos.as_slice(),
             panel,
-            0,
             best,
         );
         scatter_layer(row, best, layer, n, z);
-    }
-}
-
-/// Intra-request sharded fill of one affinity row: the concatenation of the
-/// per-layer stacked prototype axes (total length `Σ_layers n·z = αN`) is
-/// cut into `threads` contiguous chunks; each worker runs the blocked
-/// kernel over its sub-ranges (a shard may straddle layer boundaries —
-/// prototype rows are contiguous in memory, so a sub-range is just a
-/// sub-slice), and the maxima are scattered once at the end.
-///
-/// Bit-identical to [`fill_row`]: the kernel's output for a prototype row
-/// never depends on shard alignment.
-///
-/// Spawning the scoped workers costs tens of microseconds per row — the
-/// price of letting one online request use the whole pool. It amortizes as
-/// soon as a row outweighs it (any realistic bank size); for rows cheaper
-/// than the fan-out, callers should pass `threads = 1` and take the serial
-/// kernel. `best` is caller-owned so repeated rows reuse one allocation.
-// The shard bookkeeping needs the stacked tables, their panels and the
-// layout metadata side by side; bundling them into a struct would obscure
-// the (hot) call sites more than the argument list does.
-#[allow(clippy::too_many_arguments)]
-fn fill_row_sharded(
-    row: &mut [f64],
-    embedding: &ImageEmbedding,
-    stacked: &[Matrix<f32>],
-    panels: &[goggles_tensor::ColmaxPanel],
-    n: usize,
-    z: usize,
-    threads: usize,
-    best: &mut Vec<f32>,
-) {
-    let total: usize = stacked.iter().map(Matrix::rows).sum();
-    if best.len() < total {
-        best.resize(total, 0.0);
-    }
-    let best = &mut best[..total];
-    let chunk = total.div_ceil(threads).max(1);
-    std::thread::scope(|scope| {
-        for (t, out_chunk) in best.chunks_mut(chunk).enumerate() {
-            let start = t * chunk;
-            scope.spawn(move || {
-                let mut kernel = goggles_tensor::ColmaxScratch::default();
-                let mut offset = 0usize;
-                for ((layer, protos), panel) in stacked.iter().enumerate().zip(panels) {
-                    let nz = protos.rows();
-                    let lo = start.max(offset);
-                    let hi = (start + out_chunk.len()).min(offset + nz);
-                    if lo < hi {
-                        let patches = &embedding.layers[layer].patches;
-                        goggles_tensor::colmax_matmul_panel_f32(
-                            &mut kernel,
-                            patches.as_slice(),
-                            protos.as_slice(),
-                            panel,
-                            lo - offset,
-                            &mut out_chunk[lo - start..hi - start],
-                        );
-                    }
-                    offset += nz;
-                }
-            });
-        }
-    });
-    let mut offset = 0usize;
-    for (layer, protos) in stacked.iter().enumerate() {
-        scatter_layer(row, &best[offset..offset + protos.rows()], layer, n, z);
-        offset += protos.rows();
     }
 }
 
@@ -805,9 +721,9 @@ mod tests {
 
     #[test]
     fn affinity_rows_bit_identical_across_thread_counts() {
-        // Covers all three paths: serial (threads = 1), row-parallel
-        // (m ≥ threads) and intra-request nz-sharding (m < threads). Every
-        // combination must produce bit-identical output.
+        // Covers both paths: serial (threads = 1, or a single query) and
+        // the row fan-out, including budgets above m, which cap at m
+        // workers. Every combination must produce bit-identical output.
         let net = Vgg16::new(&VggConfig::tiny(), 7);
         let images: Vec<Image> = (0..3)
             .map(|i| {
@@ -824,7 +740,7 @@ mod tests {
             let parallel = bank.affinity_rows(&embs[..2], threads);
             assert_eq!(serial, parallel, "threads = {threads}");
         }
-        // Single-query sharding (the online case) included.
+        // A single query (the online case) stays serial at any budget.
         let one = bank.affinity_rows(&embs[..1], 1);
         for threads in [2, 4, 7] {
             assert_eq!(one, bank.affinity_rows(&embs[..1], threads), "m=1 threads={threads}");

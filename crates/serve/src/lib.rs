@@ -80,7 +80,7 @@ pub use registry::{PublishedSnapshot, SnapshotRegistry, VersionInfo};
 pub use server::{IngestSink, ServerOptions, WireServer};
 pub use service::{LabelResponse, LabelService, ServeConfig, ServiceStats, StageStats};
 pub use snapshot::{
-    sweep_snapshot_dir, FittedLabeler, SnapshotFormat, StageTiming, SweepReport, TrainingBootstrap,
+    sweep_snapshot_dir, FittedLabeler, SnapshotFormat, SweepReport, TrainingBootstrap,
 };
 
 /// Errors surfaced by the serving layer.

@@ -6,7 +6,9 @@
 //! [`ServeConfig::batch_timeout`] for more to arrive (capped at
 //! [`ServeConfig::max_batch`]) so concurrent traffic is labeled in one
 //! embedding/fold-in pass — the classic latency/throughput trade of
-//! inference serving. Every serving event is counted once, in the service's
+//! inference serving. Workers are the service's only parallelism: each
+//! labels its batch on its own thread, and no request is split across
+//! threads. Every serving event is counted once, in the service's
 //! observability registry (the `goggles_*` families of
 //! [`LabelService::render_metrics`]); [`LabelService::stats`] is a typed
 //! read-only view over those same counters and histograms.
@@ -61,17 +63,6 @@ pub struct ServeConfig {
     /// Bound on queued (not yet running) requests; producers block when the
     /// queue is full (backpressure, not unbounded memory).
     pub queue_capacity: usize,
-    /// Thread fan-out *inside* one batch's embedding/affinity computation —
-    /// the per-request parallelism budget. For batches smaller than this
-    /// (the online case: one worker holding one image), the affinity row is
-    /// sharded across the budget along the prototype-bank `n·z` axis, so a
-    /// single request still saturates its share of the machine. Results are
-    /// bit-identical for every value. The default is the cores left per
-    /// worker (`⌈available_parallelism / workers⌉`, at least 1) **for the
-    /// default two-worker pool** — when overriding `workers`, use
-    /// [`ServeConfig::with_workers`] (or set this field too) so the budget
-    /// is recomputed instead of inherited from the 2-worker default.
-    pub embed_threads: usize,
     /// Capacity of the per-service ring buffer of recent stage trace
     /// events ([`LabelService::recent_traces`]). `0` disables trace
     /// recording entirely; stage histograms are always kept either way.
@@ -93,37 +84,27 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// A config for a `workers`-sized pool with the per-request embed
-    /// budget recomputed to match (`⌈cores / workers⌉`). Prefer this over
-    /// struct-update syntax when changing `workers`: `ServeConfig { workers:
-    /// 8, ..Default::default() }` would keep the budget computed for 2
-    /// workers and oversubscribe the machine.
+    /// A config for a `workers`-sized pool, every other knob at its
+    /// default. Workers are the service's only parallelism: each labels
+    /// its batch on its own thread, so `workers` is the number of cores
+    /// the service keeps busy.
     pub fn with_workers(workers: usize) -> Self {
-        Self { workers, embed_threads: default_embed_threads(workers), ..Self::default() }
+        Self { workers, ..Self::default() }
     }
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        let workers = 2;
         Self {
-            workers,
+            workers: 2,
             max_batch: 8,
             batch_timeout: Duration::from_millis(2),
             queue_capacity: 1024,
-            embed_threads: default_embed_threads(workers),
             trace_capacity: 256,
             shed_watermark: 0,
             fault_plan: None,
         }
     }
-}
-
-/// Cores left for one in-flight batch after the worker fan-out: with `w`
-/// workers on `p` cores each batch gets `⌈p / w⌉` threads (at least 1).
-fn default_embed_threads(workers: usize) -> usize {
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2);
-    cores.div_ceil(workers.max(1)).max(1)
 }
 
 /// One labeled answer.
@@ -836,7 +817,7 @@ fn run_batch(shared: &Shared, scratch: &mut EmbedScratch, batch: Vec<Request>) {
     // requests sharing the batch deserve answers — so a failed batch is
     // salvaged by retrying its requests individually.
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        lease.labeler().label_batch_traced(scratch, &images, shared.config.embed_threads)
+        lease.labeler().label_batch_traced(scratch, &images, 1)
     }));
     let (labels, timing) = match outcome {
         Ok(traced) => traced,
@@ -893,7 +874,7 @@ fn salvage_batch(shared: &Shared, lease: &PublishedSnapshot, batch: Vec<Request>
     }
     for request in batch {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            lease.labeler().label_batch(&[request.image.as_ref()], shared.config.embed_threads)
+            lease.labeler().label_batch(&[request.image.as_ref()], 1)
         }));
         match outcome {
             Ok(labels) => respond(shared, lease, std::slice::from_ref(&request), &labels),
@@ -955,32 +936,6 @@ mod tests {
         let gcfg = GogglesConfig { seed, ..GogglesConfig::fast() };
         let (labeler, _) = FittedLabeler::fit(&gcfg, &ds, &dev).unwrap();
         (labeler, ds)
-    }
-
-    #[test]
-    fn default_embed_threads_is_positive_share_of_cores() {
-        assert!(default_embed_threads(1) >= 1);
-        assert!(default_embed_threads(2) >= 1);
-        assert!(default_embed_threads(usize::MAX) == 1);
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2);
-        assert_eq!(ServeConfig::default().embed_threads, cores.div_ceil(2).max(1));
-        // with_workers recomputes the budget for the actual pool size: one
-        // worker per core leaves a budget of exactly 1 thread each.
-        let wide = ServeConfig::with_workers(cores);
-        assert_eq!(wide.workers, cores);
-        assert_eq!(wide.embed_threads, 1);
-    }
-
-    #[test]
-    fn sharded_single_request_matches_serial_labeler() {
-        // label_one (1 thread) and label_one_sharded (many threads) must be
-        // bit-identical — the service's embed budget can never change answers.
-        let (labeler, ds) = fitted(16);
-        let img = ds.test_images()[0];
-        let serial = labeler.label_one(img);
-        for threads in [2, 4, 8] {
-            assert_eq!(serial, labeler.label_one_sharded(img, threads), "threads = {threads}");
-        }
     }
 
     #[test]

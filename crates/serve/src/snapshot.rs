@@ -21,7 +21,8 @@ use goggles_core::hierarchical::fold_in_rows;
 use goggles_core::mapping::apply_mapping;
 use goggles_core::prototypes::{embed_images, embed_images_with, EmbedScratch};
 use goggles_core::{
-    Goggles, GogglesConfig, HierarchicalModel, LabelingResult, ProbabilisticLabels, PrototypeBank,
+    AffinityMatrix, Goggles, GogglesConfig, HierarchicalModel, LabelingResult, ProbabilisticLabels,
+    PrototypeBank,
 };
 use goggles_datasets::{Dataset, DevSet};
 use goggles_models::{BernoulliMixture, DiagonalGmm, FitStats};
@@ -91,8 +92,7 @@ fn frozen_ensemble(weights: Vec<f64>, probs: Matrix<f64>) -> BernoulliMixture {
 /// microseconds; they are measurements only and never feed back into the
 /// computation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-// goggles-lint: allow(dead-pub): return type of pub label_batch_traced; external callers reach it through inference
-pub struct StageTiming {
+pub(crate) struct StageTiming {
     /// Backbone forward passes + max-pool tap extraction (im2col/GEMM).
     pub embed_us: u64,
     /// Affinity rows against the frozen prototype bank (colmax matmul).
@@ -137,6 +137,21 @@ impl FittedLabeler {
         dev: &DevSet,
     ) -> ServeResult<(Self, LabelingResult)> {
         let goggles = Goggles::new(config.clone());
+        let (bank, _, result) = Self::fit_pipeline(&goggles, dataset, dev)?;
+        let labeler = Self::from_fitted(&goggles, bank, &result.model, result.mapping.clone());
+        Ok((labeler, result))
+    }
+
+    /// The batch fit shared by [`FittedLabeler::fit`] and
+    /// [`FittedLabeler::fit_for_training`]: embed the training block, build
+    /// its prototype bank and `N × αN` affinity matrix, and run the
+    /// inference module on that matrix.
+    fn fit_pipeline(
+        goggles: &Goggles,
+        dataset: &Dataset,
+        dev: &DevSet,
+    ) -> ServeResult<(PrototypeBank, AffinityMatrix, LabelingResult)> {
+        let config = goggles.config();
         let images = dataset.train_images();
         if images.is_empty() {
             return Err(ServeError::Pipeline(goggles_core::GogglesError::InvalidInput(
@@ -151,9 +166,8 @@ impl FittedLabeler {
             config.center_patches,
         );
         let bank = PrototypeBank::from_embeddings(&embeddings);
-        let data = bank.affinity_rows(&embeddings, config.threads);
-        let affinity = goggles_core::AffinityMatrix {
-            data,
+        let affinity = AffinityMatrix {
+            data: bank.affinity_rows(&embeddings, config.threads),
             n: bank.n,
             alpha: bank.alpha(),
             z_per_layer: bank.z_per_layer,
@@ -161,8 +175,7 @@ impl FittedLabeler {
         let result = goggles
             .label_dataset_with_affinity(dataset, &affinity, dev)
             .map_err(ServeError::Pipeline)?;
-        let labeler = Self::from_fitted(&goggles, bank, &result.model, result.mapping.clone());
-        Ok((labeler, result))
+        Ok((bank, affinity, result))
     }
 
     /// Freeze an already-fitted pipeline: the `Goggles` system it ran under,
@@ -211,30 +224,7 @@ impl FittedLabeler {
         dev: &DevSet,
     ) -> ServeResult<TrainingBootstrap> {
         let goggles = Goggles::new(config.clone());
-        let images = dataset.train_images();
-        if images.is_empty() {
-            return Err(ServeError::Pipeline(goggles_core::GogglesError::InvalidInput(
-                "dataset has no training images".into(),
-            )));
-        }
-        let embeddings = embed_images(
-            goggles.backbone(),
-            &images,
-            config.top_z,
-            config.threads,
-            config.center_patches,
-        );
-        let bank = PrototypeBank::from_embeddings(&embeddings);
-        let data = bank.affinity_rows(&embeddings, config.threads);
-        let affinity = goggles_core::AffinityMatrix {
-            data: data.clone(),
-            n: bank.n,
-            alpha: bank.alpha(),
-            z_per_layer: bank.z_per_layer,
-        };
-        let result = goggles
-            .label_dataset_with_affinity(dataset, &affinity, dev)
-            .map_err(ServeError::Pipeline)?;
+        let (bank, affinity, result) = Self::fit_pipeline(&goggles, dataset, dev)?;
         let mut dev_rows = Vec::with_capacity(dev.len());
         for &idx in &dev.indices {
             let row = dataset.train_indices.iter().position(|&t| t == idx).ok_or_else(|| {
@@ -246,7 +236,7 @@ impl FittedLabeler {
         }
         let dev_rows = DevSet { indices: dev_rows, labels: dev.labels.clone() };
         let labeler = Self::from_fitted(&goggles, bank, &result.model, result.mapping.clone());
-        Ok(TrainingBootstrap { labeler, result, rows: data, dev_rows })
+        Ok(TrainingBootstrap { labeler, result, rows: affinity.data, dev_rows })
     }
 
     /// Affinity rows (`m × αN`) for new images against the **frozen**
@@ -335,30 +325,22 @@ impl FittedLabeler {
     /// `1 × αN` affinity row against the stored prototypes and folds it
     /// through the stored models — no training-matrix rebuild, no refit.
     /// Returns class-aligned probabilistic labels (mapping applied).
+    /// `threads` fans out over the batch's images (embedding) and rows
+    /// (affinity); one image is never split, and the output is
+    /// bit-identical for every thread count.
     pub fn label_batch(&self, images: &[&Image], threads: usize) -> ProbabilisticLabels {
-        self.label_batch_with(&mut EmbedScratch::new(), images, threads)
+        self.label_batch_traced(&mut EmbedScratch::new(), images, threads).0
     }
 
-    /// [`FittedLabeler::label_batch`] against a caller-owned
-    /// [`EmbedScratch`]: a long-lived worker (each [`crate::LabelService`]
-    /// thread holds one) reuses the backbone's im2col/GEMM/activation
-    /// arenas across requests, so steady-state labeling allocates nothing
-    /// on the embedding side beyond the per-image tap tensors. Output is
-    /// identical to [`FittedLabeler::label_batch`] for any scratch history.
-    pub(crate) fn label_batch_with(
-        &self,
-        scratch: &mut EmbedScratch,
-        images: &[&Image],
-        threads: usize,
-    ) -> ProbabilisticLabels {
-        self.label_batch_traced(scratch, images, threads).0
-    }
-
-    /// [`FittedLabeler::label_batch_with`] that additionally reports how
-    /// long each internal stage took. The labels are computed by exactly
-    /// the same calls in the same order — the only additions are three
-    /// clock reads around them — so the output is bit-identical to the
-    /// untraced path (the observability layer's core guarantee).
+    /// The one labeling path: [`FittedLabeler::label_batch`] against a
+    /// caller-owned [`EmbedScratch`], additionally reporting how long each
+    /// internal stage took. A long-lived worker (each
+    /// [`crate::LabelService`] thread holds one scratch) reuses the
+    /// backbone's im2col/GEMM/activation arenas across requests, so
+    /// steady-state labeling allocates nothing on the embedding side beyond
+    /// the per-image tap tensors. Neither the scratch history nor the three
+    /// clock reads around the stages touch the numerics: the output is
+    /// bit-identical to [`FittedLabeler::label_batch`].
     pub(crate) fn label_batch_traced(
         &self,
         scratch: &mut EmbedScratch,
@@ -395,21 +377,10 @@ impl FittedLabeler {
         self.net.forward_flops_per_image()
     }
 
-    /// Label a single image; returns the argmax class and the full
-    /// class-probability row. Single-threaded — see
-    /// [`FittedLabeler::label_one_sharded`] for the intra-request parallel
-    /// variant.
+    /// Label a single image on the calling thread; returns the argmax
+    /// class and the full class-probability row.
     pub fn label_one(&self, image: &Image) -> (usize, Vec<f64>) {
-        self.label_one_sharded(image, 1)
-    }
-
-    /// Label a single image with an intra-request thread budget: the
-    /// `1 × αN` affinity row against the stored bank is sharded across
-    /// `threads` workers along the stacked `n·z` prototype axis, so one
-    /// online request can saturate the machine instead of one core. Output
-    /// is bit-identical for every thread count.
-    pub fn label_one_sharded(&self, image: &Image, threads: usize) -> (usize, Vec<f64>) {
-        let labels = self.label_batch(&[image], threads);
+        let labels = self.label_batch(&[image], 1);
         let row = labels.probs.row(0).to_vec();
         (goggles_tensor::argmax(&row), row)
     }
@@ -1196,6 +1167,25 @@ mod tests {
             let (hard, row) = labeler.label_one(img);
             assert_eq!(row, batch.probs.row(i));
             assert_eq!(hard, goggles_tensor::argmax(batch.probs.row(i)));
+        }
+    }
+
+    #[test]
+    fn label_batch_is_bit_identical_for_every_thread_count() {
+        // Batches of 1, 3 and 5 images under budgets of 1–8 threads: this
+        // covers budgets above the batch size (capped at one worker per
+        // image) and batches below the serial embed cutoff of 4 images.
+        let (labeler, _, ds, _) = fitted(16);
+        let imgs = ds.test_images();
+        let bits = |labels: &ProbabilisticLabels| -> Vec<u64> {
+            labels.probs.as_slice().iter().map(|p| p.to_bits()).collect()
+        };
+        for m in [1, 3, 5] {
+            let serial = bits(&labeler.label_batch(&imgs[..m], 1));
+            for threads in [1, 2, 3, 8] {
+                let parallel = bits(&labeler.label_batch(&imgs[..m], threads));
+                assert_eq!(serial, parallel, "batch of {m}, threads = {threads}");
+            }
         }
     }
 

@@ -126,8 +126,7 @@ pub struct ColmaxScratch {
 /// Deterministic and shard-stable: `out[j]` depends only on row `j` of `b`
 /// and on `a` (never on tile alignment), so computing a sub-range of `b`'s
 /// rows into a sub-slice of `out` is bit-identical to slicing the full
-/// result — which is what lets callers shard the prototype axis across
-/// threads.
+/// result.
 ///
 /// # Panics
 /// Panics if `cols == 0`, `a.len()` is not a multiple of `cols`, or
@@ -239,27 +238,24 @@ impl ColmaxPanel {
     }
 }
 
-/// [`colmax_matmul_scratch_f32`] over rows `[lo, lo + out.len())` of a
-/// prototype table whose transpose is cached in `panel`:
-/// `out[jj] = max_i Σ_c a[i·cols + c] · b[(lo + jj)·cols + c]`.
+/// [`colmax_matmul_scratch_f32`] over a prototype table whose transpose is
+/// cached in `panel`: `out[j] = max_i Σ_c a[i·cols + c] · b[j·cols + c]`
+/// for every row `j` of the table.
 ///
 /// `b` is the same row-major table the panel was built from (the wide path
 /// streams it directly; the tall path reads only the cached transpose).
 /// Path selection (`m ≥ 2·cols`) and per-dot accumulation order match
 /// [`colmax_matmul_scratch_f32`] exactly, and the max over patches is
-/// order-exact — the output is **bit-identical** to the uncached kernel on
-/// the matching row range, for any `lo` shard, which preserves the
-/// shard-stability contract callers rely on.
+/// order-exact — the output is **bit-identical** to the uncached kernel.
 ///
 /// # Panics
-/// Panics if `b` disagrees with the panel geometry or the requested row
-/// range `[lo, lo + out.len())` exceeds the table.
+/// Panics if `b` disagrees with the panel geometry or
+/// `out.len() != panel.rows()`.
 pub fn colmax_matmul_panel_f32(
     scratch: &mut ColmaxScratch,
     a: &[f32],
     b: &[f32],
     panel: &ColmaxPanel,
-    lo: usize,
     out: &mut [f32],
 ) {
     let cols = panel.cols;
@@ -276,10 +272,11 @@ pub fn colmax_matmul_panel_f32(
         "colmax_matmul_panel_f32: a.len() {} not a multiple of cols {cols}",
         a.len()
     );
-    assert!(
-        lo + out.len() <= panel.rows,
-        "colmax_matmul_panel_f32: rows [{lo}, {}) exceed the {}-row panel",
-        lo + out.len(),
+    assert_eq!(
+        out.len(),
+        panel.rows,
+        "colmax_matmul_panel_f32: out.len() {} != the {}-row panel",
+        out.len(),
         panel.rows
     );
     out.fill(f32::NEG_INFINITY);
@@ -290,29 +287,27 @@ pub fn colmax_matmul_panel_f32(
     if has_avx2() {
         // SAFETY: `colmax_panel_avx2` enables only AVX2, which `has_avx2`
         // just confirmed this CPU supports.
-        unsafe { colmax_panel_avx2(scratch, a, b, panel, lo, out) };
+        unsafe { colmax_panel_avx2(scratch, a, b, panel, out) };
         return;
     }
-    colmax_panel_body(scratch, a, b, panel, lo, out);
+    colmax_panel_body(scratch, a, b, panel, out);
 }
 
-/// Shape dispatch of [`colmax_matmul_panel_f32`] over a non-empty panel
-/// and shard.
+/// Shape dispatch of [`colmax_matmul_panel_f32`] over a non-empty panel.
 #[inline(always)]
 fn colmax_panel_body(
     scratch: &mut ColmaxScratch,
     a: &[f32],
     b: &[f32],
     panel: &ColmaxPanel,
-    lo: usize,
     out: &mut [f32],
 ) {
     let cols = panel.cols;
     let m = a.len() / cols;
     if m >= 2 * cols {
-        colmax_panel_tall(scratch, a, panel, lo, out);
+        colmax_panel_tall(scratch, a, panel, out);
     } else {
-        colmax_wide(a, &b[lo * cols..(lo + out.len()) * cols], cols, out);
+        colmax_wide(a, b, cols, out);
     }
 }
 
@@ -324,30 +319,22 @@ fn colmax_panel_avx2(
     a: &[f32],
     b: &[f32],
     panel: &ColmaxPanel,
-    lo: usize,
     out: &mut [f32],
 ) {
-    colmax_panel_body(scratch, a, b, panel, lo, out);
+    colmax_panel_body(scratch, a, b, panel, out);
 }
 
 /// Tall-panel path over a cached transpose: patches stream in the outer
-/// loop, and every patch's dot products against the whole shard accumulate
+/// loop, and every patch's dot products against the whole table accumulate
 /// along contiguous prototype columns of `panel.b_t` (channel `c`
 /// ascending, so each per-pair sum has exactly the order of
 /// [`colmax_tall`] and the naive reference). The running max over patches
-/// is order-independent, so the shard result is bit-identical to the
-/// uncached tall path — with no per-request transpose and no per-request
+/// is order-independent, so the result is bit-identical to the uncached
+/// tall path — with no per-request transpose and no per-request
 /// allocation once `scratch` has grown.
 #[inline(always)]
-fn colmax_panel_tall(
-    scratch: &mut ColmaxScratch,
-    a: &[f32],
-    panel: &ColmaxPanel,
-    lo: usize,
-    out: &mut [f32],
-) {
+fn colmax_panel_tall(scratch: &mut ColmaxScratch, a: &[f32], panel: &ColmaxPanel, out: &mut [f32]) {
     let cols = panel.cols;
-    let stride = panel.rows;
     let nz = out.len();
     if scratch.acc.len() < nz {
         scratch.acc.resize(nz, 0.0);
@@ -355,11 +342,11 @@ fn colmax_panel_tall(
     let acc = &mut scratch.acc[..nz];
     for a_row in a.chunks_exact(cols) {
         let w0 = a_row[0];
-        for (av, &x) in acc.iter_mut().zip(&panel.b_t[lo..lo + nz]) {
+        for (av, &x) in acc.iter_mut().zip(&panel.b_t[..nz]) {
             *av = w0 * x;
         }
         for (c, &w) in a_row.iter().enumerate().skip(1) {
-            for (av, &x) in acc.iter_mut().zip(&panel.b_t[c * stride + lo..c * stride + lo + nz]) {
+            for (av, &x) in acc.iter_mut().zip(&panel.b_t[c * nz..(c + 1) * nz]) {
                 *av += w * x;
             }
         }
@@ -1138,7 +1125,8 @@ mod tests {
     #[test]
     fn colmax_matmul_is_shard_stable() {
         // Computing a sub-range of b's rows must be bit-identical to the
-        // matching slice of the full result (the sharding contract).
+        // matching slice of the full result (no dependence on tile
+        // alignment).
         let mut rng = rng::std_rng(7);
         let (m, n, cols) = (5usize, 21usize, 11usize);
         let a: Vec<f32> = (0..m * cols).map(|_| rng::normal(&mut rng) as f32).collect();
@@ -1371,27 +1359,24 @@ mod tests {
             fn colmax_panel_avx2_matches_portable(
                 cols in 1usize..24,
                 m in 1usize..60,
-                n in 1usize..40,
-                lo in 0usize..40,
-                len in 1usize..40,
+                n in 1usize..80,
                 seed in 0u64..1_000,
             ) {
                 if !avx2_or_skip("colmax_panel_avx2_matches_portable") {
                     return;
                 }
-                let lo = lo % n;
-                let len = 1 + (len - 1) % (n - lo);
+                // m spans both the tall (m ≥ 2·cols) and wide paths.
                 let a = random_vec(m * cols, seed);
                 let b = random_vec(n * cols, seed ^ 0xB);
                 let panel = ColmaxPanel::new(&b, cols);
-                let mut portable = vec![f32::NEG_INFINITY; len];
-                colmax_panel_body(&mut ColmaxScratch::default(), &a, &b, &panel, lo, &mut portable);
-                let mut dispatched = vec![0.0f32; len];
-                colmax_matmul_panel_f32(&mut ColmaxScratch::default(), &a, &b, &panel, lo, &mut dispatched);
+                let mut portable = vec![f32::NEG_INFINITY; n];
+                colmax_panel_body(&mut ColmaxScratch::default(), &a, &b, &panel, &mut portable);
+                let mut dispatched = vec![0.0f32; n];
+                colmax_matmul_panel_f32(&mut ColmaxScratch::default(), &a, &b, &panel, &mut dispatched);
                 prop_assert_eq!(
                     bits(&portable),
                     bits(&dispatched),
-                    "m={} cols={} rows [{}, {})", m, cols, lo, lo + len
+                    "m={} cols={} n={}", m, cols, n
                 );
             }
         }

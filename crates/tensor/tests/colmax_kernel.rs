@@ -2,8 +2,9 @@
 //! matmul + column-max kernel — the affinity hot path. The blocked kernel
 //! must agree with the naive scalar kernel within 1e-5 on random shapes,
 //! be bit-deterministic, and be shard-stable (computing any sub-range of
-//! prototype rows matches the corresponding slice of the full result,
-//! which is the contract intra-request sharding relies on).
+//! prototype rows matches the corresponding slice of the full result);
+//! the cached-transpose panel kernel must match the uncached one bit for
+//! bit.
 
 use goggles_tensor::rng::{normal, std_rng};
 use goggles_tensor::{
@@ -83,17 +84,16 @@ proptest! {
     }
 
     /// The cached-transpose panel kernel is bit-identical to the uncached
-    /// kernel on every row shard `[lo, hi)` — the contract that lets a
-    /// frozen bank pre-transpose its prototypes once and serve all
-    /// subsequent requests (and all intra-request shards) from the cache.
-    /// `m` ranges across both the tall (`m ≥ 2·cols`) and wide paths.
+    /// kernel over the full table — the contract that lets a frozen bank
+    /// pre-transpose its prototypes once and serve all subsequent requests
+    /// from the cache. `m` ranges across both the tall (`m ≥ 2·cols`) and
+    /// wide paths, and `n` across partial and whole register tiles.
     #[test]
-    fn panel_kernel_matches_uncached_on_every_shard(
+    fn panel_kernel_matches_uncached_kernel(
         m in 0usize..40,
-        n in 1usize..40,
+        n in 1usize..80,
         cols in 1usize..16,
-        lo in 0usize..40,
-        span in 0usize..40,
+        n2 in 1usize..40,
         seed in 0u64..1_000,
     ) {
         let a = random_panel(m, cols, seed);
@@ -103,19 +103,29 @@ proptest! {
         prop_assert_eq!(panel.cols(), cols);
         let mut full = vec![0.0f32; n];
         colmax_matmul_f32(&a, &b, cols, &mut full);
-        let lo = lo % n;
-        let hi = (lo + 1 + span % n).min(n);
-        let mut shard = vec![0.0f32; hi - lo];
+        let mut cached = vec![0.0f32; n];
         let mut scratch = ColmaxScratch::default();
-        colmax_matmul_panel_f32(&mut scratch, &a, &b, &panel, lo, &mut shard);
+        colmax_matmul_panel_f32(&mut scratch, &a, &b, &panel, &mut cached);
         prop_assert_eq!(
-            shard.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            full[lo..hi].iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "shard [{}, {}) of {} rows, m={} cols={}", lo, hi, n, m, cols
+            cached.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            full.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            "{} rows, m={} cols={}", n, m, cols
         );
-        // Scratch reuse across differently-shaped calls stays bit-stable.
+        // Scratch reuse across differently-shaped panels stays bit-stable:
+        // a second table of another height through the same warm scratch,
+        // then the first table again.
+        let b2 = random_panel(n2, cols, seed ^ 0x2B2);
+        let panel2 = ColmaxPanel::new(&b2, cols);
+        let mut full2 = vec![0.0f32; n2];
+        colmax_matmul_f32(&a, &b2, cols, &mut full2);
+        let mut cached2 = vec![0.0f32; n2];
+        colmax_matmul_panel_f32(&mut scratch, &a, &b2, &panel2, &mut cached2);
+        prop_assert_eq!(
+            cached2.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            full2.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
         let mut again = vec![0.0f32; n];
-        colmax_matmul_panel_f32(&mut scratch, &a, &b, &panel, 0, &mut again);
+        colmax_matmul_panel_f32(&mut scratch, &a, &b, &panel, &mut again);
         prop_assert_eq!(
             again.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             full.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
